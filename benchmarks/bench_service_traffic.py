@@ -11,7 +11,9 @@ service invariants: every request completes, none faults, every GET
 returns a value some PUT wrote, and the machine-wide
 ``enter_roundtrip`` count equals the number of gateway calls exactly
 (one protection-domain round trip per request, zero kernel
-crossings).
+crossings).  Each run also records ``superblock_coverage``, the share
+of issued bundles that ran inside superblocks, on one node and on the
+mesh (recorded only, never gated).
 
 ``tools/run_benchmarks.py`` records the numbers into ``BENCH_pr7.json``
 (median + IQR across trials) and CI runs the quick variant.
@@ -20,6 +22,8 @@ crossings).
 from __future__ import annotations
 
 import time
+
+import pytest
 
 from repro.sim.api import Simulation
 from repro.service import ServiceLoadDriver, install_tenants, open_loop
@@ -50,6 +54,8 @@ def measure(requests: int = REQUESTS, tenants: int = TENANTS,
     drive_wall = time.perf_counter() - t0
     snap = sim.snapshot()
     enter_count = snap["hist.enter_roundtrip.count"]
+    issued = snap["chip.issued_bundles"]
+    in_superblocks = sum(chip.superblock_bundles for chip in sim.chips)
     return {
         "workload": f"{requests} {arrivals} requests over {tenants} "
                     f"tenants on {nodes} node(s)",
@@ -69,11 +75,14 @@ def measure(requests: int = REQUESTS, tenants: int = TENANTS,
         "install_wall_s": install_wall,
         "drive_wall_s": drive_wall,
         "requests_per_s": report.completed / drive_wall,
+        "superblock_coverage": in_superblocks / issued if issued else 0.0,
     }
 
 
-def test_service_traffic(benchmark):
-    r = benchmark.pedantic(measure, rounds=1, iterations=1)
+@pytest.mark.parametrize("nodes", [1, NODES])
+def test_service_traffic(benchmark, nodes):
+    r = benchmark.pedantic(measure, kwargs={"nodes": nodes}, rounds=1,
+                           iterations=1)
     emit("service traffic — open-loop multi-tenant KV", "\n".join([
         r["workload"],
         f"completed {r['completed']}  throughput "
@@ -82,7 +91,8 @@ def test_service_traffic(benchmark):
         f"p999 {r['latency_p999']} cycles",
         f"simulator: {r['requests_per_s']:,.0f} requests/s wall "
         f"(install {r['install_wall_s']:.2f}s, drive "
-        f"{r['drive_wall_s']:.2f}s)",
+        f"{r['drive_wall_s']:.2f}s), superblock coverage "
+        f"{r['superblock_coverage']:.1%}",
     ]))
     assert r["all_completed"], "open-loop run did not drain"
     assert r["clean"], "service produced errors or wrong results"

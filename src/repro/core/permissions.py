@@ -83,14 +83,22 @@ _RIGHTS: dict[Permission, Right] = {
 }
 
 
+#: code -> member for every 4-bit field value (None for reserved codes):
+#: pointer decoding runs on every fetch, jump and privilege test, and a
+#: tuple index is far cheaper than the enum's value lookup
+_BY_CODE: tuple[Permission | None, ...] = tuple(
+    next((perm for perm in Permission if perm == code), None)
+    for code in range(PERM_FIELD_MASK + 1))
+
+
 def decode_permission(field: int) -> Permission:
     """Decode a 4-bit permission field; reserved codes raise ValueError."""
     if not 0 <= field <= PERM_FIELD_MASK:
         raise ValueError(f"permission field out of range: {field}")
-    try:
-        return Permission(field)
-    except ValueError:
-        raise ValueError(f"reserved permission code: {field}") from None
+    perm = _BY_CODE[field]
+    if perm is None:
+        raise ValueError(f"reserved permission code: {field}")
+    return perm
 
 
 def rights_of(perm: Permission) -> Right:

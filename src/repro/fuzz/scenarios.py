@@ -2,13 +2,13 @@
 
 Every scenario runs the same case under pairs of fast-path settings —
 ``decode_cache`` on/off, ``data_fast_path`` (the access-check and
-translation-line memos) on/off, and ``superblock`` (bulk straight-line
-execution) on/off — and each pair must produce *identical* digests:
-thread state, register files, fault sequence, memory image and cycle
-count (all the knobs are documented as timing-transparent, so even
-``now`` must match).  The scenarios are chosen to stress exactly the
-paths that can leave a stale decoded bundle, a stale memoised
-translation, or a stale superblock node behind:
+translation-line memos) on/off, and ``superblock`` (compiled-node
+issue and bulk superblock dispatch) on/off — and each pair must
+produce *identical* digests: thread state, register files, fault
+sequence, memory image and cycle count (all the knobs are documented
+as timing-transparent, so even ``now`` must match).  The scenarios
+are chosen to stress exactly the paths that can leave a stale decoded
+bundle, a stale memoised translation, or a stale compiled node behind:
 
 ==============  ======================================================
 plain           straight ISA soup (control: no mutation at all)
@@ -336,9 +336,9 @@ def _run_remote_store(case: FuzzCase, decode_cache: bool,
                       roundtrip: bool = False) -> dict:
     """Two mesh nodes; node 1 patches node 0's code through the network
     mid-run, flipping a ``movi`` immediate the loop keeps executing.
-    (Superblocks self-disable on meshed chips, so this scenario also
-    proves the knob is inert — not merely parity-clean — with a router
-    attached.)"""
+    Superblocks run inside each node's share of a lookahead window, so
+    on this scenario the superblock axis compares two different
+    executors across a cross-node code patch."""
     mc = Multicomputer(MeshShape(2, 1, 1),
                        chip_config=ChipConfig(memory_bytes=2 * 1024 * 1024,
                                               decode_cache=decode_cache,
@@ -456,10 +456,11 @@ def diff_fast_path_axes(case: FuzzCase) -> Divergence | None:
 
 
 def diff_superblock_axes(case: FuzzCase) -> Divergence | None:
-    """Run ``case`` with superblock turbo execution on and off (decode
-    cache and data fast path on in both); None means identical digests —
-    bulk straight-line dispatch changed neither a single architectural
-    word nor a single cycle nor a single counter-visible event."""
+    """Run ``case`` with compiled-node issue and superblock turbo
+    execution on and off (decode cache and data fast path on in both);
+    None means identical digests — the compiled nodes changed neither a
+    single architectural word nor a single cycle nor a single
+    counter-visible event."""
     return _diff_knob(
         case, "superblock-on-vs-off", "superblock",
         lambda enabled: run_scenario(case, True, superblock=enabled))

@@ -96,13 +96,14 @@ class ChipConfig:
     #: blocked on memory, instead of stepping them cycle by cycle
     #: (cycle counts and per-cluster idle accounting are preserved)
     idle_fast_forward: bool = True
-    #: the busy-cycle twin of ``idle_fast_forward``: when exactly one
-    #: thread is ready and nothing else on the chip can act, execute a
-    #: straight line of already-decoded bundles in one dispatch with
-    #: bulk accounting (see PERF.md §6).  Timing-model-transparent —
-    #: cycle counts, counters and trace events are identical on or off;
+    #: issue every decoded bundle through its compiled node, and — the
+    #: busy-cycle twin of ``idle_fast_forward`` — when exactly one
+    #: thread is ready and nothing else on the chip can act, run its
+    #: nodes in one dispatch with bulk accounting (see PERF.md §6).
+    #: Timing-model-transparent — cycle counts, counters and trace
+    #: events are identical on or off (off is the per-bundle executor);
     #: the fuzzer's superblock-on-vs-off axis polices that continuously.
-    #: Requires ``decode_cache`` (superblock nodes are decoded bundles).
+    #: Requires ``decode_cache`` (nodes live in decode-cache entries).
     superblock: bool = True
     #: flight-recorder ring depth (events kept for crash dumps); purely
     #: observational — no architectural or timing effect
@@ -217,22 +218,21 @@ class MAPChip:
         self.now = 0
         # -- the decoded-bundle cache (see module docstring) ----------
         #: fetch address -> (decoded Bundle, pointer word that passed
-        #: the fetch checks); flushed on any unmap
-        self._decode_cache: dict[int, tuple[Bundle, int]] = {}
+        #: the fetch checks, compiled node or None until the bundle
+        #: first issues through one — see Cluster._compile_node);
+        #: flushed on any unmap.  The node rides in the entry, so every
+        #: invalidation that drops a decoded bundle drops its node.
+        self._decode_cache: dict[int, tuple[Bundle, int, tuple | None]] = {}
         self._decode_enabled = c.decode_cache
-        # -- the superblock node cache (see Cluster.run_superblock) ----
-        #: fetch address -> prepared execution node for the decoded
-        #: bundle there: (pointer word, bundle, compiled int closure or
-        #: None, fp op or None, compiled mem closure or None,
-        #: fall-through IP or None, live ops).
-        #: Strictly a subset of ``_decode_cache`` — every invalidation
-        #: path that drops a decode entry drops the node too, so the
-        #: PERF.md §3 invalidation contract covers both caches at once.
-        self._sb_nodes: dict[int, tuple] = {}
-        #: superblock telemetry (plain attributes, deliberately *not*
-        #: PerfCounters: counter snapshots must be bit-identical with
-        #: the knob on or off, so engine-utilization introspection lives
-        #: outside the counter file)
+        #: issue decoded bundles through compiled nodes (PERF.md §6)
+        self._node_issue = c.superblock and c.decode_cache
+        #: node and superblock telemetry (plain attributes, deliberately
+        #: *not* PerfCounters: counter snapshots must be bit-identical
+        #: with the knob on or off, so engine-utilization introspection
+        #: lives outside the counter file).  ``node_bundles`` counts
+        #: bundles issued straight from a node, without a fetch() call;
+        #: ``superblock_bundles`` is the part of them issued in bulk.
+        self.node_bundles = 0
         self.superblock_blocks = 0
         self.superblock_bundles = 0
         #: (pointer word, offset) -> derived pointer, shared by every
@@ -243,6 +243,12 @@ class MAPChip:
         #: data-side twin of the decoded-bundle cache, and the
         #: fastpath-on-vs-off fuzz axis is what polices it.
         self._lea_cache: dict[tuple[int, int], GuardedPointer] | None = (
+            {} if c.data_fast_path else None
+        )
+        #: tagged jump-target word -> (new IP, target permission) for a
+        #: passed ``check_jump`` — also a pure function of the pointer's
+        #: bits, read by compiled JMP nodes, gated like the LEA memo
+        self._jump_memo: dict[int, tuple] | None = (
             {} if c.data_fast_path else None
         )
         self.fetch_hits = 0
@@ -397,7 +403,7 @@ class MAPChip:
             # a different pointer to an already-decoded address: checks
             # passed, adopt this word and reuse the bundle (no re-walk)
             self.fetch_hits += 1
-            self._decode_cache[address] = (entry[0], word)
+            self._decode_cache[address] = (entry[0], word, None)
             return entry[0]
         self.fetch_misses += 1
         router = self.router
@@ -434,7 +440,7 @@ class MAPChip:
                 words.append(self.memory.load_word(physical))
         bundle = Bundle.decode(words)
         if self._decode_enabled:
-            self._decode_cache[address] = (bundle, word)
+            self._decode_cache[address] = (bundle, word, None)
         return bundle
 
     # -- decoded-bundle invalidation ----------------------------------------
@@ -450,7 +456,6 @@ class MAPChip:
         if self._decode_cache:
             self.decode_invalidations += len(self._decode_cache)
             self._decode_cache.clear()
-        self._sb_nodes.clear()
 
     def flush_decoded(self) -> None:
         """Drop every decoded bundle — on every node, when meshed (this
@@ -488,11 +493,9 @@ class MAPChip:
         if not cache:
             return
         word = vaddr - (vaddr % OP_BYTES)
-        nodes = self._sb_nodes
         for start in (word, word - OP_BYTES, word - 2 * OP_BYTES):
             if cache.pop(start, None) is not None:
                 self.decode_invalidations += 1
-                nodes.pop(start, None)
 
     def invalidate_decoded_range(self, base: int, nbytes: int) -> None:
         """Drop every cached bundle overlapping ``[base, base+nbytes)``
@@ -512,10 +515,8 @@ class MAPChip:
         lo = base - (BUNDLE_BYTES - OP_BYTES)
         hi = base + nbytes
         stale = [a for a in cache if lo <= a < hi]
-        nodes = self._sb_nodes
         for address in stale:
             del cache[address]
-            nodes.pop(address, None)
         self.decode_invalidations += len(stale)
 
     # -- fault plumbing ------------------------------------------------------
@@ -653,11 +654,12 @@ class MAPChip:
         start_bundles = self.stats.issued_bundles
         idle_streak = 0
         fast_forward = self.config.idle_fast_forward
-        # superblocks need the decode cache (nodes are decoded bundles)
-        # and a single node: a mesh runs in lockstep through step(), and
-        # remote writes may invalidate code between any two cycles
-        turbo = (self.config.superblock and self._decode_enabled
-                 and self.router is None)
+        # superblocks need the decode cache (nodes live in its
+        # entries).  On a mesh this run is one node's share of a
+        # lookahead window, inside which no cross-node state moves:
+        # remote stores and invalidations land at the barrier, so the
+        # single-ready-thread proof holds there too
+        turbo = self._node_issue
         while self.now - start_cycle < max_cycles:
             if self._runnable_count == 0:
                 return RunResult(self.now - start_cycle,

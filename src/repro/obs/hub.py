@@ -32,11 +32,12 @@ Emission never changes machine state: cycle counts with tracing on and
 off are bit-identical, and the tracer parity tests and the
 tracing-overhead benchmark police that continuously.
 
-``hub.hot`` is also the gate superblock turbo execution respects
-(``docs/PERF.md`` §6): the chip refuses to enter a bulk-dispatch trace
-while a *hot* sink is attached, so per-bundle event streams stay
-complete — turbo mode never skips an emission a listener would have
-seen.  A spans-only sink leaves turbo on: miss fills inside a
+``hub.hot`` is also the gate compiled-node issue and superblock turbo
+execution respect (``docs/PERF.md`` §6): while a *hot* sink is
+attached the chip issues every bundle through the per-bundle executor
+and never enters a bulk-dispatch trace, so per-bundle event streams
+stay complete — turbo mode never skips an emission a listener would
+have seen.  A spans-only sink leaves turbo on: miss fills inside a
 superblock go through the same cache access path and still emit.
 Cold-path emissions and the histograms (e.g. load-to-use) are still
 recorded from inside a trace, at the same cycles as the per-cycle
@@ -47,6 +48,8 @@ from __future__ import annotations
 
 from collections import deque
 
+from repro.core.permissions import Permission
+from repro.core.pointer import GuardedPointer
 from repro.obs.events import TraceEvent, encode_event
 from repro.obs.histogram import Histogram
 
@@ -195,12 +198,17 @@ class TraceHub:
     # -- the enter-call round-trip tracker -----------------------------
 
     def note_jump(self, thread, target_word, new_ip, now: int,
-                  cluster: int | None = None) -> None:
+                  cluster: int | None = None,
+                  target_perm: Permission | None = None) -> None:
         """Called by the integer unit on every JMP (after
         ``check_jump`` passed).  Emits ``enter.call`` when the target
         was an ENTER pointer; when a privileged enter call later drops
         back to user code, emits ``enter.return`` with the round-trip
         duration and feeds the ``enter_roundtrip`` histogram.
+
+        ``target_perm`` is the target pointer's permission when the
+        caller has already decoded it (a compiled JMP node has); by
+        default it is decoded from ``target_word``.
 
         Round trips are only tracked for ENTER_PRIV gateways — the
         privilege drop is the unambiguous architectural return signal.
@@ -208,10 +216,8 @@ class TraceHub:
         """
         if not self.enabled:
             return
-        from repro.core.permissions import Permission
-        from repro.core.pointer import GuardedPointer
-
-        target = GuardedPointer.from_word(target_word).permission
+        target = (GuardedPointer.from_word(target_word).permission
+                  if target_perm is None else target_perm)
         if target.is_enter:
             self.emit("enter.call", now, cluster=cluster, tid=thread.tid,
                       target=new_ip.address,

@@ -11,9 +11,9 @@ the simulator's timing-transparency contract:
   state / domain history, and every thread's architectural state
   (registers with tags, FP registers as IEEE-754 bit patterns, pending
   deferred writes, wake cycle, fault record);
-* **dropped and re-warmed** — the decoded-bundle cache, the superblock
-  node cache, the LEA memo, the load/store check memos and the cache's
-  translation line memo.  They are pure functions of pointer bits and
+* **dropped and re-warmed** — the decoded-bundle cache (with the
+  compiled nodes in its entries), the LEA and jump memos, the
+  load/store check memos and the cache's translation line memo.  They are pure functions of pointer bits and
   the page table, change zero cycles by contract (the fuzzer's
   on-vs-off axes police that continuously), and so a restored machine
   replays cycle-identically whether or not they were present at
@@ -288,9 +288,10 @@ def _reset_functional_memos(chip: "MAPChip") -> None:
     machine and by restore on the target — so the two re-warm from the
     same cold state and their memo tallies stay bit-identical."""
     chip._decode_cache.clear()
-    chip._sb_nodes.clear()
     if chip._lea_cache is not None:
         chip._lea_cache.clear()
+    if chip._jump_memo is not None:
+        chip._jump_memo.clear()
     if chip._load_check_memo is not None:
         chip._load_check_memo.clear()
     if chip._store_check_memo is not None:

@@ -76,6 +76,25 @@ class TestDecode:
         with pytest.raises(ValueError):
             decode_permission(16)
 
+    def test_every_field_value_is_pinned(self):
+        # the whole 4-bit field: seven architectural codes, nine
+        # reserved ones, and the exact error text either side of it
+        expected = [Permission.READ_ONLY, Permission.READ_WRITE,
+                    Permission.EXECUTE_USER, Permission.EXECUTE_PRIV,
+                    Permission.ENTER_USER, Permission.ENTER_PRIV,
+                    Permission.KEY]
+        for code in range(16):
+            if code < len(expected):
+                assert decode_permission(code) is expected[code]
+            else:
+                with pytest.raises(ValueError,
+                                   match=rf"^reserved permission code: {code}$"):
+                    decode_permission(code)
+        for code in (-1, 16, 255):
+            with pytest.raises(ValueError,
+                               match=rf"^permission field out of range: {code}$"):
+                decode_permission(code)
+
 
 class TestRestrictLattice:
     def test_rw_to_ro_is_legal(self):

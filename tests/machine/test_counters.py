@@ -91,9 +91,10 @@ def _check_consistency(sim, fetches):
     assert chip.stats.issued_bundles == per_cluster
     assert snap["chip.issued_bundles"] == sum(
         snap[f"cluster{i}.issued"] for i in range(len(chip.clusters)))
-    # superblock traces serve bundles straight from the node table:
-    # each one is a decode-cache hit credited without a chip.fetch call
-    expected = fetches["n"] + chip.superblock_bundles
+    # compiled nodes (per cycle and in superblocks) serve bundles
+    # straight from the decode cache: each one is a decode-cache hit
+    # credited without a chip.fetch call
+    expected = fetches["n"] + chip.node_bundles
     assert chip.fetch_hits + chip.fetch_misses == expected
     assert snap["fetch.hits"] + snap["fetch.misses"] == expected
     assert snap["chip.cycles"] == chip.stats.cycles

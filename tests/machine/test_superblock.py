@@ -1,45 +1,63 @@
-"""Superblock turbo execution (PERF.md §6): bulk straight-line dispatch
-must be invisible — identical cycles, identical counter snapshots,
-identical flight-recorder contents — with the knob on vs off, for every
-functional unit, across mid-superblock invalidation (self-modifying
-stores, unmap, swap-out, remote writes) and across a snapshot taken
-while a superblock is hot."""
+"""Compiled nodes and superblock turbo execution (PERF.md §6): issuing
+bundles through compiled nodes, one at a time or in bulk, must be
+invisible — identical cycles, identical counter snapshots, identical
+flight-recorder contents — with the knob on vs off, for every
+functional unit, with one ready thread (superblocks) and with several
+(per-cycle node issue), across mid-superblock invalidation
+(self-modifying stores, unmap, swap-out, remote writes) and across a
+snapshot taken while a superblock is hot."""
 
 import pytest
 
+from repro.core.operations import lea
+from repro.core.pointer import GuardedPointer
+from repro.core.word import TaggedWord
+from repro.machine.isa import BUNDLE_BYTES
 from repro.machine.chip import ChipConfig, MAPChip, RunReason
 from repro.machine.thread import ThreadState
+from repro.runtime.subsystem import ProtectedSubsystem
 from repro.runtime.swap import SwapManager
 from repro.sim.api import Simulation
 
 MEMORY = 2 * 1024 * 1024
 
 
-def run_pair(source, *, data_bytes=0, max_cycles=100_000):
+def run_pair(source, *, data_bytes=0, max_cycles=100_000, threads=1,
+             nodes=1, setup=None):
     """The same program on two fresh machines differing only in the
     ``superblock`` knob; returns ``(sim_on, res_on, sim_off, res_off)``.
-    When ``data_bytes`` is set an eager segment lands in r8."""
+    When ``data_bytes`` is set an eager segment lands in r8; ``setup``
+    may prepare the machine and the loaded program (it gets both) and
+    returns further registers.  ``threads``
+    copies of the program run side by side: with one, the chip runs
+    superblocks; with two or more ready, every bundle issues per cycle
+    through its compiled node."""
     out = []
     for sb in (True, False):
-        sim = Simulation(memory_bytes=MEMORY, superblock=sb)
+        sim = Simulation(nodes=nodes, memory_bytes=MEMORY, superblock=sb)
         regs = {}
         if data_bytes:
             regs[8] = sim.allocate(data_bytes, eager=True).word
-        sim.spawn(sim.load(source), regs=regs)
+        entry = sim.load(source)
+        if setup is not None:
+            regs.update(setup(sim, entry))
+        for _ in range(threads):
+            sim.spawn(entry, regs=regs)
         out.append(sim)
         out.append(sim.run(max_cycles))
     return out[0], out[1], out[2], out[3]
 
 
 def assert_parity(sim_on, res_on, sim_off, res_off):
-    """The timing-model-identical contract, in full."""
+    """The timing-model-identical contract, in full, on every node."""
     assert res_on.cycles == res_off.cycles
     assert res_on.reason == res_off.reason
     assert res_on.issued_bundles == res_off.issued_bundles
     assert sim_on.snapshot() == sim_off.snapshot()
-    assert sim_on.chip.obs.flight.dump() == sim_off.chip.obs.flight.dump()
-    assert ([type(r.cause).__name__ for r in sim_on.chip.fault_log] ==
-            [type(r.cause).__name__ for r in sim_off.chip.fault_log])
+    for chip_on, chip_off in zip(sim_on.chips, sim_off.chips):
+        assert chip_on.obs.flight.dump() == chip_off.obs.flight.dump()
+        assert ([type(r.cause).__name__ for r in chip_on.fault_log] ==
+                [type(r.cause).__name__ for r in chip_off.fault_log])
 
 
 # -- per-functional-unit parity (one workload per unit/op class) ----------
@@ -82,8 +100,7 @@ UNIT_WORKLOADS = {
     done:
         halt
     """,
-    # integer unit, interpreter fallback (MOV/ISPTR/GETIP/JMP take the
-    # uncompiled _exec_int path inside a superblock)
+    # integer unit: MOV and GETIP compile, ISPTR falls back to the unit
     "int-fallback": """
         movi r2, 100
     loop:
@@ -147,7 +164,7 @@ UNIT_WORKLOADS = {
         bne  r2, loop
         halt
     """,
-    # memory unit, interpreter fallback (LEA-class derivation ops)
+    # memory unit: LEA derives through the LEA memo
     "mem-lea-fallback": """
         movi r2, 100
     loop:
@@ -169,23 +186,137 @@ UNIT_WORKLOADS = {
         bne  r2, loop
         halt
     """,
+    # integer unit: GETIP pre-derived, LEAR through the LEA memo
+    "getip-lear": """
+        movi r2, 100
+        movi r6, 16
+    loop:
+        getip r5, 0
+        lear r3, r8, r6
+        ld   r4, r3, 0
+        subi r2, r2, 1
+        bne  r2, loop
+        halt
+    """,
+    # JMP through an ENTER_PRIV gateway (r1) and back through r15:
+    # the enter-call tracker must see identical calls and round trips
+    "jmp-enter-gateway": """
+        movi r2, 40
+    loop:
+        getip r15, back
+        jmp  r1
+    back:
+        subi r2, r2, 1
+        bne  r2, loop
+        halt
+    """,
+    # HALT shares its bundle with a load that misses (a cold line
+    # holding 77): the blocking load's write must land before the
+    # thread's state goes final.  The code is pre-decoded, so even a
+    # lone thread issues the HALT bundle from its compiled node
+    "halt-blocking-load": """
+        movi r2, 3
+        halt | ld r3, r8, 0
+    """,
+    # loads and stores homed on the other node of a 2-node mesh
+    "mem-remote": """
+        movi r2, 30
+    loop:
+        ld   r3, r8, 0
+        addi r3, r3, 1
+        st   r3, r8, 8
+        subi r2, r2, 1
+        bne  r2, loop
+        halt
+    """,
 }
 
 NEEDS_DATA = {"mem-loads", "mem-stores", "mem-float", "mem-lea-fallback",
-              "mixed-units"}
+              "mixed-units", "getip-lear"}
+
+GATEWAY = """
+    entry:
+        movi r11, 99
+        jmp  r15
+"""
+
+
+def _gateway(sim, entry):
+    gate = ProtectedSubsystem.install(sim.kernel, GATEWAY, privileged=True)
+    return {1: gate.enter.word}
+
+
+def _cold_word(sim, entry):
+    chip = sim.chip
+    chip.fetch(entry)
+    chip.fetch(GuardedPointer.from_word(lea(entry.word, BUNDLE_BYTES).word))
+    data = sim.allocate(4096, eager=True)
+    chip.memory.store_word(chip.page_table.walk(data.address),
+                           TaggedWord.integer(77))
+    return {8: data.word}
+
+
+def _remote_segment(sim, entry):
+    return {8: sim.allocate(4096, node=1, eager=True).word}
+
+
+#: per-unit machine set-up beyond the program (returns registers)
+SETUP = {"jmp-enter-gateway": _gateway, "halt-blocking-load": _cold_word,
+         "mem-remote": _remote_segment}
+NODES = {"mem-remote": 2}
 
 
 class TestUnitParity:
     """coreblocks-style per-unit sweep: each functional unit (and each
-    compiled-vs-fallback op class within it) proves the contract."""
+    compiled-vs-fallback op class within it) proves the contract, once
+    with a lone thread (superblocks) and once with two ready threads
+    (per-cycle issue through the compiled nodes)."""
 
     @pytest.mark.parametrize("unit", sorted(UNIT_WORKLOADS))
     def test_unit_is_timing_identical(self, unit):
         data = 4096 if unit in NEEDS_DATA else 0
-        sim_on, res_on, sim_off, res_off = run_pair(
-            UNIT_WORKLOADS[unit], data_bytes=data)
-        assert res_on.reason == "halted"
-        assert_parity(sim_on, res_on, sim_off, res_off)
+        for threads in (1, 2):
+            sim_on, res_on, sim_off, res_off = run_pair(
+                UNIT_WORKLOADS[unit], data_bytes=data, threads=threads,
+                nodes=NODES.get(unit, 1), setup=SETUP.get(unit))
+            assert res_on.reason == "halted"
+            assert_parity(sim_on, res_on, sim_off, res_off)
+            chips = sim_on.chips
+            if threads == 1:
+                assert sum(c.superblock_bundles for c in chips) > 0
+            else:
+                assert sum(c.node_bundles - c.superblock_bundles
+                           for c in chips) > 0
+            assert not any(c.node_bundles for c in sim_off.chips)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_enter_round_trips_match(self, threads):
+        sim_on, _, sim_off, _ = run_pair(
+            UNIT_WORKLOADS["jmp-enter-gateway"], threads=threads,
+            setup=_gateway)
+        for sim in (sim_on, sim_off):
+            assert sim.snapshot()["hist.enter_roundtrip.count"] == \
+                40 * threads
+            assert all(t.regs.read(11).value == 99 for t in sim.threads)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_halt_lands_the_blocking_load(self, threads):
+        sim_on, _, sim_off, _ = run_pair(
+            UNIT_WORKLOADS["halt-blocking-load"], threads=threads,
+            setup=_cold_word)
+        for sim in (sim_on, sim_off):
+            # the first load missed (it would have blocked the thread)
+            assert sim.snapshot()["hist.load_to_use.max"] > 1
+            assert [t.regs.read(3).value for t in sim.threads] == \
+                [77] * threads
+
+    def test_remote_accesses_cross_the_mesh(self):
+        sim_on, _, sim_off, _ = run_pair(
+            UNIT_WORKLOADS["mem-remote"], nodes=2, setup=_remote_segment)
+        for sim in (sim_on, sim_off):
+            snap = sim.snapshot()
+            assert snap["router.remote_reads"] == 30
+            assert snap["router.remote_writes"] == 30
 
     def test_superblocks_actually_engage(self):
         sim_on, res_on, sim_off, res_off = run_pair(
@@ -282,10 +413,12 @@ class TestMidSuperblockInvalidation:
             sim = Simulation(memory_bytes=MEMORY, superblock=sb)
             entry = sim.load(source)
             sim.spawn(entry)
-            sim.step(50)  # superblock is hot across this boundary
+            sim.step(50)  # compiled nodes are hot across this boundary
+            cache = sim.chip._decode_cache
+            assert any(node for _, _, node in cache.values()) == sb
             table = sim.chip.page_table
             table.unmap(table.page_of(entry.address))
-            assert not sim.chip._sb_nodes  # flushed with the decode cache
+            assert not cache  # the nodes went with their entries
             res = sim.run(100_000)
             out.append(sim)
             out.append(res)
@@ -315,7 +448,7 @@ class TestMidSuperblockInvalidation:
             table = sim.chip.page_table
             swap.swap_out(table.page_of(entry.address))
             swap.swap_out(table.page_of(data.segment_base))
-            assert not sim.chip._sb_nodes
+            assert not sim.chip._decode_cache
             res = sim.run(100_000)
             out.append(sim)
             out.append(res)
@@ -323,9 +456,9 @@ class TestMidSuperblockInvalidation:
         assert_parity(*out)
 
     def test_remote_write_and_mesh_inertness(self):
-        # superblocks self-disable with a router attached: the knob on
-        # a mesh must change nothing and never fire
-        from repro.core.word import TaggedWord
+        # superblocks run inside each node's share of a lookahead
+        # window: on a mesh the knob must engage and still change
+        # nothing, across a remote patch of the hot loop body
         from repro.machine.assembler import assemble
         source = """
             movi r2, 2000
@@ -346,7 +479,7 @@ class TestMidSuperblockInvalidation:
             sim.chips[1].access_memory(entry.address + 24, write=True,
                                        now=sim.chips[1].now, value=patch)
             sim.run(100_000)
-            assert all(chip.superblock_blocks == 0 for chip in sim.chips)
+            assert (sim.chips[0].superblock_blocks > 0) == sb
             digests.append((sim.now, sim.snapshot(),
                             thread.regs.read(3).value,
                             thread.state.name))

@@ -360,7 +360,9 @@ def main(argv: list[str] | None = None) -> int:
     print(f"  {median_of(r_serve, 'throughput_rpk'):.1f} req/kcycle, "
           f"p50 {median_of(r_serve, 'latency_p50')} / "
           f"p99 {median_of(r_serve, 'latency_p99')} cycles latency, "
-          f"{median_of(r_serve, 'requests_per_s'):,.0f} requests/s wall")
+          f"{median_of(r_serve, 'requests_per_s'):,.0f} requests/s wall, "
+          f"superblock coverage "
+          f"{median_of(r_serve, 'superblock_coverage'):.1%}")
 
     print("running parallel-mesh scaling sweep ...")
     r_par = run_trials(
