@@ -67,6 +67,16 @@ class RegisterFile:
     def write_f(self, index: int, value: float) -> None:
         self._fregs[index] = float(value)
 
+    def land(self, writes) -> None:
+        """Apply ``(bank, index, value)`` register writes in order:
+        bank ``"r"`` is the integer file, anything else the FP file."""
+        regs, fregs = self._regs, self._fregs
+        for bank, index, value in writes:
+            if bank == "r":
+                regs[index] = value
+            else:
+                fregs[index] = float(value)
+
     def pointers(self) -> list[TaggedWord]:
         """All tagged words currently in integer registers — what a
         caller must spill/clear around a protected subsystem call
