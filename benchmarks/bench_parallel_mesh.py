@@ -1,7 +1,7 @@
 """Weak and strong scaling of the sharded mesh engine.
 
 Drives the multi-tenant KV service on a 4x4 mesh under the lockstep
-engine and under :class:`~repro.machine.parallel.ParallelMulticomputer`
+engine and under the sharded :class:`~repro.machine.parallel.WindowEngine`
 with 2 and 4 OS worker processes, and reports:
 
 * **strong scaling** — the same schedule at every worker count;

@@ -33,10 +33,13 @@ message injected at cycle ``T`` cannot affect its destination before
   requests in that order, and replies/invalidations are applied back
   at the sources in that order.
 
-Because nodes never interact inside a window, advancing the nodes of a
-window serially, or sharded across OS processes
-(:mod:`repro.machine.parallel`), produces **bit-identical** machines —
-the partitioned-vs-lockstep fuzz axis proves it continuously.
+The loop that advances windows and runs barriers is
+:class:`~repro.machine.parallel.WindowEngine`, written once.  It drives
+the nodes through one of two executors: in-process (lockstep — what
+:meth:`Multicomputer.run` uses) or sharded across OS processes.
+Because nodes never interact inside a window, both produce
+**bit-identical** machines — the partitioned-vs-lockstep fuzz axis
+proves it continuously.
 
 Semantics under the protocol (visible differences from a
 cycle-interleaved engine, all bounded by one window):
@@ -71,11 +74,12 @@ from repro.core.constants import ADDRESS_BITS
 from repro.core.exceptions import PageFault
 from repro.core.pointer import GuardedPointer
 from repro.core.word import TaggedWord
-from repro.machine.chip import ChipConfig, MAPChip, RunReason, RunResult
+from repro.machine.chip import ChipConfig, MAPChip, RunResult
 from repro.machine.counters import merge_snapshots
 from repro.machine.faults import FaultRecord
 from repro.machine.isa import OP_BYTES
 from repro.machine.network import MeshNetwork, MeshShape
+from repro.machine.parallel import WindowEngine
 from repro.machine.registers import word_to_float
 from repro.machine.thread import REMOTE_WAIT, Thread, ThreadState
 from repro.mem.cache import AccessResult
@@ -187,6 +191,8 @@ class Multicomputer:
         #: cluster can attach its destination register immediately
         self._last_load: tuple[int, int] = (0, -1)
         self._external_cycles = config.external_cycles
+        #: the in-process window engine behind run / step / advance_idle
+        self._lockstep = WindowEngine(self.kernels, self)
 
     def home_of(self, vaddr: int) -> int:
         """The node currently holding ``vaddr``: the partition's static
@@ -232,9 +238,6 @@ class Multicomputer:
         seq = self._seq[src]
         self._seq[src] = seq + 1
         return seq
-
-    def _in_flight(self) -> bool:
-        return any(self._outbox)
 
     def _make_unmap_hook(self, chip: MAPChip):
         def hook(_virtual_page: int) -> None:
@@ -331,18 +334,6 @@ class Multicomputer:
         return self._next_barrier
 
     # -- the window barrier ------------------------------------------------
-
-    def _collect_messages(self) -> list[list]:
-        """Drain every outbox into one deterministically ordered batch:
-        sorted by (cycle, src_node, seq) — exactly the order a
-        cycle-interleaved lockstep engine would have presented them to
-        the network and the home memories."""
-        messages: list[list] = []
-        for box in self._outbox:
-            messages.extend(box)
-            box.clear()
-        messages.sort(key=lambda m: (m[1], m[2], m[3]))
-        return messages
 
     def _home_translate(self, home_node: int, vaddr: int) -> int | None:
         """Functional translation at the home node, demand-paging
@@ -580,26 +571,6 @@ class Multicomputer:
                         per_node[node].append((index, ["flush"]))
         return per_node
 
-    def _process_barrier(self) -> None:
-        """Exchange one window's traffic (both phases, serially)."""
-        messages = self._collect_messages()
-        if not messages:
-            return
-        home_ops, timing = self._plan_barrier(messages)
-        replies: dict[int, list] = {}
-        for home_node in sorted(home_ops):
-            for index, msg in home_ops[home_node]:
-                replies[index] = self._apply_home_op(msg, home_node)
-        per_node = self._route_effects(messages, timing, replies)
-        for node, effects in per_node.items():
-            if effects:
-                self._apply_effects(self.chips[node], effects)
-
-    # -- machine-wide fault handling --------------------------------------
-    # (kept for API compatibility: callers may still install per-node
-    # handlers; remote page faults are now serviced home-side at the
-    # barrier, so the per-node kernel handler is the default.)
-
     # -- global-kernel conveniences ----------------------------------------
 
     def allocate_on(self, node: int, nbytes: int, perm=None,
@@ -626,96 +597,22 @@ class Multicomputer:
     def all_threads(self) -> list[Thread]:
         return [t for chip in self.chips for t in chip.all_threads()]
 
-    def _advance_chip(self, chip: MAPChip, end: int) -> int:
-        """Run one node independently up to cycle ``end`` (a window
-        boundary or the run deadline); returns bundles issued.  Within
-        a window no cross-node interaction exists, so this is exactly
-        the single-chip engine.  A node that goes quiet stops at its
-        last live cycle; the caller re-aligns clocks (charging idle
-        time, exactly as lockstep would have) once it knows whether the
-        whole machine stopped."""
-        issued = 0
-        while chip.now < end and chip._runnable_count:
-            result = chip.run(max_cycles=end - chip.now)
-            issued += result.issued_bundles
-        return issued
-
     def step(self) -> int:
         """Advance every node one cycle; returns bundles issued
         machine-wide.  Barriers fire exactly when the clock reaches
         them, identically to :meth:`run`."""
-        issued = 0
-        for chip in self.chips:
-            issued += chip.step()
-        if self.chips[0].now >= self._next_barrier:
-            self._process_barrier()
-            self._next_barrier += self.window
-        return issued
+        return self._lockstep.step(1)
 
     def advance_idle(self, cycles: int) -> None:
         """Machine-wide half of :meth:`MAPChip.advance_idle`: skip
-        guaranteed-idle cycles on every node.  Any in-flight window
-        traffic drains first (nothing runnable can observe the early
-        exchange), and the barrier grid re-anchors past the skip."""
-        if any(chip._runnable_count for chip in self.chips):
-            raise ValueError("cannot skip cycles while threads are runnable")
-        if cycles <= 0:
-            return
-        self._process_barrier()
-        for chip in self.chips:
-            chip._skip_idle(cycles)
-        now = self.chips[0].now
-        if self._next_barrier <= now:
-            self._next_barrier = now + self.window
+        guaranteed-idle cycles on every node (see
+        :meth:`WindowEngine.advance_idle`)."""
+        self._lockstep.advance_idle(cycles)
 
     def run(self, max_cycles: int = 1_000_000) -> RunResult:
         """Advance the machine in lookahead windows until every thread
-        stops (see the module docstring).  Within a window each node
-        runs independently; barriers exchange the queued traffic."""
-        chips = self.chips
-        start = chips[0].now
-        deadline = start + max_cycles
-        issued = 0
-        while True:
-            runnable = sum(c._runnable_count for c in chips)
-            if runnable == 0:
-                # Threads may be done while posted stores / broadcasts
-                # are still queued: drain them early (nothing runnable
-                # can observe the exchange), re-align every node to the
-                # last cycle any node actually reached — the cycle
-                # lockstep would have stopped at — and report why.
-                self._process_barrier()
-                last = max(c.now for c in chips)
-                for chip in chips:
-                    if chip.now < last:
-                        chip._skip_idle(last - chip.now)
-                if any(c._runnable_count for c in chips):
-                    continue  # defensive; barrier effects cannot wake
-                if any(cl.faulted_count for c in chips
-                       for cl in c.clusters):
-                    reason = RunReason.FAULTED
-                else:
-                    reason = RunReason.HALTED
-                return RunResult(last - start, issued, reason)
-            # runnable chips are clock-aligned here (every window pass
-            # below re-aligns the quiet ones)
-            now = max(c.now for c in chips)
-            if now >= deadline:
-                return RunResult(now - start, issued,
-                                 RunReason.MAX_CYCLES)
-            end = min(self._next_barrier, deadline)
-            for chip in chips:
-                issued += self._advance_chip(chip, end)
-            if any(c._runnable_count for c in chips):
-                # the machine is still alive: nodes that went quiet
-                # mid-window idle along to the boundary, as lockstep
-                # would have charged them
-                for chip in chips:
-                    if chip.now < end:
-                        chip._skip_idle(end - chip.now)
-            if end == self._next_barrier:
-                self._process_barrier()
-                self._next_barrier += self.window
+        stops (see the module docstring and :meth:`WindowEngine.run`)."""
+        return self._lockstep.run(max_cycles)
 
     # -- persistence (repro.persist) -----------------------------------
 

@@ -1,63 +1,60 @@
-"""Sharded execution of one multicomputer across OS processes.
+"""The window engine: one loop, two node executors.
 
-The window protocol (see :mod:`repro.machine.multicomputer`) already
-guarantees that nodes never interact *inside* a window — all cross-node
-traffic queues in per-node outboxes and is exchanged at the barrier in
-the deterministic ``(cycle, src_node, seq)`` order.  That makes the
-serial engine embarrassingly partitionable: hand each OS process a
-contiguous slice of the nodes, let every process advance its slice to
-the barrier independently, ship the queued messages to a coordinator,
-and replay the *same* barrier the serial engine would have run:
+The window protocol (see :mod:`repro.machine.multicomputer`) guarantees
+that nodes never interact *inside* a window — all cross-node traffic
+queues in per-node outboxes and is exchanged at the barrier in the
+deterministic ``(cycle, src_node, seq)`` order.  So the machine-wide
+clock is one loop — :meth:`WindowEngine.run`, ``step``,
+``advance_idle``, the two-phase barrier exchange and the drain to a
+barrier — written once here, and *where* the nodes advance is a
+detail of the executor it drives:
 
-* **phase A** (network timing + per-home service lists) runs on the
-  coordinator via :meth:`Multicomputer._plan_barrier` — the mesh and
-  the migration forwarding map live only there;
-* **home ops** are executed by the worker that owns each home node
-  (:meth:`Multicomputer._apply_home_op`), in global batch order;
-* **phase B** effects are routed per destination
-  (:meth:`Multicomputer._route_effects`) and applied by each owning
-  worker (:meth:`Multicomputer._apply_effects`), again in batch order.
+* the **in-process executor** (lockstep) calls the chips and kernels of
+  the live machine directly — no pipe, no pickling, no capture — and
+  reads node clocks, runnable counts and fault counts straight from the
+  chips;
+* the **process executor** (``workers > 1``) forks OS processes, hands
+  each a contiguous slice of the nodes, and keeps mirrors of the
+  per-node clock / runnable / faulted state, refreshed by every reply.
 
-Every machine-state mutation for node ``n`` happens in the one worker
-that owns ``n`` — chip advance, home-side demand paging, reply
-effects, even the sequence counters — so the partition map cannot
-change the interleaving and any ownership map produces **bit-identical**
-machines.  The partitioned-vs-lockstep fuzz axis and the determinism
-tests prove this continuously.
+Both executors run the same verb bodies (:class:`_Worker`): a worker
+process holds one, the in-process executor holds one owning every node
+of the live machine.  At a barrier, phase A (network timing and the
+per-home service lists, :meth:`Multicomputer._plan_barrier`) runs on
+the engine's machine, which owns the mesh and the migration forwarding
+map; home ops (:meth:`Multicomputer._apply_home_op`) and phase-B
+effects (:meth:`Multicomputer._apply_effects`) run at the executor
+owning each node, in global batch order.  Every machine-state mutation
+for node ``n`` happens where ``n`` lives, so the ownership map cannot
+change the interleaving and any map produces **bit-identical**
+machines; the partitioned-vs-lockstep fuzz axis and the determinism
+tests prove it continuously.
 
-Workers warm-start from snapshots: the coordinator runs all workload
-setup (load / allocate / spawn) on its own in-process machine, then on
-the first clock-advancing call captures the whole machine
-(:func:`repro.persist.image.capture_multicomputer`) and ships the
-payload to freshly forked workers, each of which restores it and from
-then on advances only its owned nodes.  The same capture → restore →
-re-ship path implements mid-run **rebalancing** (changing the
-ownership map) and migration support.
-
-The coordinator replicates the serial engine's control flow *exactly*
-— the same advance / idle-skip / barrier order on both the alive and
-the stopped paths — because barrier effects read ``chip.now`` when
-they fault a thread, and a one-cycle clock skew would diverge the
-machines.
+Workers warm-start from snapshots: the workload is set up (load /
+allocate / spawn) on the engine's in-process machine, served by the
+in-process executor, and the first clock-advancing call captures the
+whole machine (:func:`repro.persist.image.capture_multicomputer`) and
+ships the payload to freshly forked workers, each of which restores it
+and from then on advances only its owned nodes.  The same capture →
+restore → re-ship path implements mid-run **rebalancing** (changing
+the ownership map), migration and restore.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import pickle
 import traceback
-from multiprocessing import get_context
+from operator import attrgetter
 from pathlib import Path
 
 from repro.machine.chip import RunReason, RunResult
-from repro.machine.counters import merge_snapshots
 from repro.machine.thread import ThreadState
 
 
 class ParallelError(Exception):
     """The sharded engine cannot continue (a worker crashed or the
-    coordinator was used after :meth:`ParallelMulticomputer.close`)."""
+    engine was used after :meth:`WindowEngine.close`)."""
 
 
 def partition_nodes(nodes: int, workers: int) -> list[list[int]]:
@@ -76,54 +73,32 @@ def partition_nodes(nodes: int, workers: int) -> list[list[int]]:
     return owned
 
 
-def retire_on_chip(chip, tids: list[int], result_reg: int) -> list[list]:
-    """Retire finished request threads on one chip, preserving the
-    caller's order.  For each tid whose thread has stopped, returns
-    ``[tid, state_name, halted_at, result_reg_value]`` and removes the
-    thread from its cluster; running threads are skipped.  A tid with
-    no resident thread (reaped by the kernel after a kill) reports as
-    FAULTED.  Shared by the serial facade and the worker verb so both
-    engines retire in the identical order with identical side effects."""
-    finished: list[list] = []
-    by_tid = {t.tid: t for cluster in chip.clusters
-              for t in cluster.slots if t is not None}
-    for tid in tids:
-        thread = by_tid.get(tid)
-        if thread is None:
-            finished.append([tid, "FAULTED", chip.now, 0])
-            continue
-        if thread.state is ThreadState.HALTED:
-            finished.append([tid, "HALTED", thread.halted_at,
-                             thread.regs.read(result_reg).value])
-        elif thread.state is ThreadState.FAULTED:
-            finished.append([tid, "FAULTED", chip.now, 0])
-        else:
-            continue
-        thread.scheduler.remove_thread(thread)
-    return finished
-
-
-# -- the worker process -------------------------------------------------
+# -- the verb bodies ------------------------------------------------------
 
 class _Worker:
-    """One OS process owning a slice of the nodes.  Holds a full
-    restored machine (so every :class:`Multicomputer` method works
-    unchanged) but only ever advances / mutates its owned nodes."""
+    """The only implementation of every node-level verb, over a slice
+    of one machine.  In a worker process it holds a full restored
+    machine (so every :class:`Multicomputer` method works unchanged)
+    but only ever advances / mutates its owned nodes; in-process it
+    owns every node of the live machine."""
 
-    def __init__(self):
-        self.machine = None
-        self.owned: list[int] = []
-        #: per-owned-node span-level sinks (the request tracer's
-        #: worker half); attached by "trace_on", drained by "trace_drain"
+    def __init__(self, chips=(), kernels=(), machine=None, owned=None):
+        self.machine = machine
+        self.chips = list(chips)
+        self.kernels = list(kernels)
+        self.owned = (list(range(len(self.chips))) if owned is None
+                      else list(owned))
+        #: per-owned-node span-level sinks; attached by "trace_on",
+        #: drained by "trace_drain"
         self._span_sinks: dict[int, list] = {}
 
-    # every mutating verb replies with this so the coordinator's
-    # mirrors of the per-node clocks / runnable / faulted states stay
-    # exact without extra round trips
+    # the process executor appends this to every state-changing reply
+    # so its mirrors of the per-node clocks / runnable / faulted states
+    # stay exact without extra round trips
     def _report(self) -> dict:
         out = {}
         for n in self.owned:
-            chip = self.machine.chips[n]
+            chip = self.chips[n]
             out[n] = [chip.now, chip._runnable_count,
                       sum(cl.faulted_count for cl in chip.clusters)]
         return out
@@ -136,125 +111,146 @@ class _Worker:
             box.clear()
         return messages
 
-    def init(self, payload: dict, owned: list[int]) -> dict:
-        from repro.persist.image import restore_multicomputer
+    def reload(self, payload: dict, owned: list[int]) -> None:
+        """Restore the machine from a capture (built afresh on a
+        worker's first load; restored in place after that, so span
+        sinks survive) and take ownership of ``owned``."""
+        from repro.persist.image import (restore_multicomputer,
+                                         restore_multicomputer_state)
 
-        self.machine = restore_multicomputer(payload)
+        if self.machine is None:
+            machine = restore_multicomputer(payload)
+            self.machine, self.chips, self.kernels = (
+                machine, machine.chips, machine.kernels)
+        else:
+            restore_multicomputer_state(self.machine, payload)
         self.owned = list(owned)
-        return {"nodes": self._report()}
 
-    def reload(self, payload: dict, owned: list[int]) -> dict:
-        from repro.persist.image import restore_multicomputer_state
+    # -- the clock ---------------------------------------------------------
 
-        restore_multicomputer_state(self.machine, payload)
-        self.owned = list(owned)
-        return {"nodes": self._report()}
-
-    def advance(self, end: int, next_barrier: int, drain: bool) -> dict:
-        machine = self.machine
-        machine._next_barrier = next_barrier  # fetch_remote reads it
+    def advance(self, end: int, next_barrier: int, drain: bool) -> list:
+        """Run every owned node independently up to cycle ``end`` (a
+        window boundary or the run deadline).  Within a window no
+        cross-node interaction exists, so this is exactly the
+        single-chip engine.  A node that goes quiet stops at its last
+        live cycle; the engine re-aligns clocks (charging idle time,
+        exactly as lockstep would have) once it knows whether the whole
+        machine stopped."""
+        self.machine._next_barrier = next_barrier  # fetch_remote reads it
         issued = 0
         for n in self.owned:
-            issued += machine._advance_chip(machine.chips[n], end)
-        return {"issued": issued, "nodes": self._report(),
-                "messages": self._drain() if drain else []}
+            chip = self.chips[n]
+            while chip.now < end and chip._runnable_count:
+                issued += chip.run(max_cycles=end - chip.now).issued_bundles
+        return [issued, self._drain() if drain else []]
 
-    def step(self, k: int, next_barrier: int, drain: bool) -> dict:
-        machine = self.machine
-        machine._next_barrier = next_barrier
+    def step(self, k: int, next_barrier: int, drain: bool) -> list:
+        self.machine._next_barrier = next_barrier
         issued = 0
         for n in self.owned:
-            chip = machine.chips[n]
+            chip = self.chips[n]
             for _ in range(k):
                 issued += chip.step()
-        return {"issued": issued, "nodes": self._report(),
-                "messages": self._drain() if drain else []}
+        return [issued, self._drain() if drain else []]
 
-    def collect(self) -> dict:
-        return {"nodes": self._report(), "messages": self._drain()}
+    def collect(self) -> list[list]:
+        return self._drain()
 
-    def skip(self, targets: dict[int, int]) -> dict:
-        for n, target in targets.items():
-            chip = self.machine.chips[n]
-            if target > chip.now:
-                chip._skip_idle(target - chip.now)
-        return {"nodes": self._report()}
-
-    def skip_all(self, cycles: int) -> dict:
+    def skip(self, target: int) -> None:
         for n in self.owned:
-            self.machine.chips[n]._skip_idle(cycles)
-        return {"nodes": self._report()}
+            chip = self.chips[n]
+            if chip.now < target:
+                chip._skip_idle(target - chip.now)
+
+    def skip_all(self, cycles: int) -> None:
+        for n in self.owned:
+            self.chips[n]._skip_idle(cycles)
 
     def home_ops(self, ops: list) -> dict:
-        replies = {}
-        for index, msg, home in ops:
-            replies[index] = self.machine._apply_home_op(msg, home)
-        return {"replies": replies, "nodes": self._report()}
+        apply = self.machine._apply_home_op
+        return {index: apply(msg, home) for index, msg, home in ops}
 
-    def effects(self, per_node: dict[int, list]) -> dict:
+    def effects(self, per_node: dict[int, list]) -> None:
         for n in sorted(per_node):
-            self.machine._apply_effects(self.machine.chips[n], per_node[n])
-        return {"nodes": self._report()}
+            self.machine._apply_effects(self.chips[n], per_node[n])
 
-    def spawn(self, node: int, entry, kwargs: dict) -> dict:
-        thread = self.machine.kernels[node].spawn(entry, **kwargs)
-        return {"tid": thread.tid, "nodes": self._report()}
+    # -- workload verbs ----------------------------------------------------
 
-    def retire(self, per_node: list, result_reg: int) -> dict:
-        finished = []
+    def spawn(self, node: int, entry, domain: int, regs,
+              stack_bytes: int) -> int:
+        return self.kernels[node].spawn(entry, domain=domain, regs=regs,
+                                        stack_bytes=stack_bytes).tid
+
+    def retire(self, per_node: list, result_reg: int) -> list[list]:
+        """Retire finished request threads, preserving the caller's
+        order.  For each tid whose thread has stopped, reports
+        ``[node, tid, state_name, halted_at, result_reg_value]`` and
+        removes the thread from its cluster; running threads are
+        skipped.  A tid with no resident thread (reaped by the kernel
+        after a kill) reports as FAULTED."""
+        finished: list[list] = []
         for node, tids in per_node:
-            for entry in retire_on_chip(self.machine.chips[node], tids,
-                                        result_reg):
-                finished.append([node] + entry)
-        return {"finished": finished, "nodes": self._report()}
+            chip = self.chips[node]
+            by_tid = {t.tid: t for cluster in chip.clusters
+                      for t in cluster.slots if t is not None}
+            for tid in tids:
+                thread = by_tid.get(tid)
+                if thread is None:
+                    finished.append([node, tid, "FAULTED", chip.now, 0])
+                    continue
+                if thread.state is ThreadState.HALTED:
+                    finished.append([node, tid, "HALTED", thread.halted_at,
+                                     thread.regs.read(result_reg).value])
+                elif thread.state is ThreadState.FAULTED:
+                    finished.append([node, tid, "FAULTED", chip.now, 0])
+                else:
+                    continue
+                thread.scheduler.remove_thread(thread)
+        return finished
 
-    def hist(self, node: int, name: str, value: int) -> dict:
-        chip = self.machine.chips[node]
-        chip.obs.add_histogram(name).add(value)
-        return {}
+    def hist(self, node: int, name: str, value: int) -> None:
+        self.chips[node].obs.add_histogram(name).add(value)
 
     def emit(self, node: int, name: str, cycle: int, tid, dur,
-             args: dict) -> dict:
-        self.machine.chips[node].obs.emit(name, cycle, tid=tid, dur=dur,
-                                          **args)
-        return {}
+             args: dict) -> None:
+        self.chips[node].obs.emit(name, cycle, tid=tid, dur=dur, **args)
 
-    def trace_on(self) -> dict:
+    def trace_on(self) -> None:
         """Attach a span-level (``hot=False``) sink to every owned
         node's hub — per-miss and cold events start accumulating, the
-        per-bundle path stays dark and turbo stays engaged.  Sinks
-        survive ``reload`` (restore mutates chips in place)."""
+        per-bundle path stays dark and turbo stays engaged."""
         for n in self.owned:
             if n not in self._span_sinks:
                 sink: list = []
-                self.machine.chips[n].obs.attach(sink, hot=False)
+                self.chips[n].obs.attach(sink, hot=False)
                 self._span_sinks[n] = sink
-        return {}
 
-    def trace_drain(self) -> dict:
-        from repro.obs.events import encode_event
-
+    def trace_drain(self) -> dict[int, list]:
         out = {}
         for n, sink in sorted(self._span_sinks.items()):
-            self.machine.chips[n].obs.detach(sink)
-            out[n] = [encode_event(e) for e in sink]
+            self.chips[n].obs.detach(sink)
+            out[n] = sink
         self._span_sinks = {}
-        return {"events": out}
+        return out
 
     def counters(self) -> dict:
-        return {n: self.machine.chips[n].counters.snapshot()
-                for n in self.owned}
+        return {n: self.chips[n].counters.snapshot() for n in self.owned}
 
     def flights(self) -> dict:
-        return {n: self.machine.chips[n].obs.flight.dump()
-                for n in self.owned}
+        return {n: self.chips[n].obs.flight.dump() for n in self.owned}
 
     def capture(self) -> dict:
         from repro.persist.image import capture_node
 
-        return {"nodes": {n: capture_node(self.machine.kernels[n])
+        return {"nodes": {n: capture_node(self.kernels[n])
                           for n in self.owned},
                 "seq": {n: self.machine._seq[n] for n in self.owned}}
+
+
+#: verbs that leave every node's state as it was: no clock report rides
+#: back, and the engine's machine stays current
+_READ_ONLY = frozenset({"collect", "counters", "flights", "capture",
+                        "trace_on", "trace_drain"})
 
 
 def _worker_main(conn) -> None:
@@ -266,78 +262,111 @@ def _worker_main(conn) -> None:
             return
         verb, args = command[0], command[1:]
         if verb == "stop":
-            conn.send(["ok", None])
+            conn.send(["ok", None, None])
             conn.close()
             return
         try:
             reply = getattr(worker, verb)(*args)
+            report = None if verb in _READ_ONLY else worker._report()
         except Exception:  # ship the debris home, keep serving
             dumps = {}
             if worker.machine is not None:
                 for n in worker.owned:
                     try:
-                        dumps[n] = worker.machine.chips[n].obs.flight.dump()
+                        dumps[n] = worker.chips[n].obs.flight.dump()
                     except Exception:
                         pass
             conn.send(["error", traceback.format_exc(), dumps])
             continue
-        conn.send(["ok", reply])
+        conn.send(["ok", reply, report])
 
 
-# -- the coordinator ----------------------------------------------------
+# -- the two executors ----------------------------------------------------
+# Both offer the same surface to the engine: ``owned``/``owner`` (the
+# ownership map), ``broadcast`` (one verb on every worker), ``scatter``
+# (per-worker commands, ``None`` to skip a worker), ``call`` (one verb
+# on a node's owner), the clock reads ``now``/``runnable``/``faulted``,
+# ``skip_to`` (idle every node behind a cycle up to it), ``reload``
+# (re-ship the engine's machine), ``close``, the flags ``remote`` and
+# ``dirty``, and ``coordinator`` (a worker over the hubs only the
+# engine's machine sees, for span sinks).
 
-class ParallelMulticomputer:
-    """Drives one :class:`Multicomputer` sharded across worker
-    processes, bit-identically to the serial engine.
+_clock = attrgetter("now")
+_runnable = attrgetter("_runnable_count")
 
-    The wrapped ``machine`` is authoritative for the mesh network, the
-    migration forwarding map and the barrier position; the workers are
-    authoritative for node state (chips, kernels, sequence counters)
-    once started.  Until the first clock-advancing call the workers do
-    not exist and the machine is live — build workloads first, then
-    run."""
 
-    def __init__(self, machine, workers: int):
-        if workers < 1:
-            raise ValueError("need at least one worker")
-        self.machine = machine
-        self.owned = partition_nodes(len(machine.chips), workers)
-        self.workers = len(self.owned)
-        self._owner = {n: w for w, nodes in enumerate(self.owned)
-                       for n in nodes}
-        self._conns: list = []
-        self._procs: list = []
-        self._started = False
-        self._closed = False
-        #: coordinator-held messages drained from workers but not yet
-        #: barrier-processed; the (cycle, src, seq) sort at the barrier
-        #: makes the buffering location irrelevant
-        self._msgbuf: list[list] = []
+class _InProcess:
+    """The lockstep executor: one :class:`_Worker` owning every node of
+    the live machine, called directly."""
+
+    #: worker state never runs ahead of the machine: it *is* the machine
+    remote = False
+    dirty = False
+
+    def __init__(self, chips, kernels, machine):
+        self.worker = _Worker(chips, kernels, machine)
+        self.chips = self.worker.chips
+        self.owned = [self.worker.owned]
+        self.owner = dict.fromkeys(self.worker.owned, 0)
+        #: coordinator-side span sinks: none — the live hubs are the
+        #: worker's own
+        self.coordinator = _Worker(owned=())
+
+    def broadcast(self, verb: str, *args) -> list:
+        return [getattr(self.worker, verb)(*args)]
+
+    def scatter(self, commands: list) -> list:
+        command = commands[0]
+        return [None if command is None
+                else getattr(self.worker, command[0])(*command[1:])]
+
+    def call(self, node: int, verb: str, *args):
+        return getattr(self.worker, verb)(*args)
+
+    def now(self) -> int:
+        return max(map(_clock, self.chips))
+
+    def skip_to(self, target: int) -> None:
+        self.worker.skip(target)
+
+    def runnable(self) -> bool:
+        return any(map(_runnable, self.chips))
+
+    def faulted(self) -> bool:
+        return any(cl.faulted_count for chip in self.chips
+                   for cl in chip.clusters)
+
+    def reload(self, machine, owned=None) -> None:
+        pass
+
+    def close(self) -> None:
+        pass
+
+
+class _Processes:
+    """The sharded executor: pipes to forked workers, each warm-started
+    from a capture of the engine's machine, plus mirrors of every
+    node's clock / runnable count / fault count."""
+
+    remote = True
+
+    def __init__(self, machine, owned: list[list[int]]):
+        from multiprocessing import get_context
+
         nodes = len(machine.chips)
         self._now = [0] * nodes
         self._runnable = [0] * nodes
         self._faulted = [0] * nodes
-        #: True while worker state has advanced past the wrapped
-        #: machine's; cleared by :meth:`sync_back`
-        self.dirty = False
-
-    # -- lifecycle -------------------------------------------------------
-
-    @property
-    def started(self) -> bool:
-        return self._started
-
-    def start(self) -> None:
-        """Fork the workers and warm-start each from a snapshot of the
-        wrapped machine (the same capture/restore path snapshots and
-        rebalancing use)."""
-        if self._started or self._closed:
-            return
-        from repro.persist.image import capture_multicomputer
-
-        payload = capture_multicomputer(self.machine)
+        self._set_owned(owned)
+        #: the coordinator's chips never advance, but their hubs
+        #: receive router.hop (barrier planning) and migrate/swap events
+        #: from the migration path run after a sync
+        self.coordinator = _Worker(machine.chips, machine.kernels, machine)
+        self._conns: list = []
+        self._procs: list = []
+        self._closed = False
         ctx = get_context("fork")
-        for w in range(self.workers):
+        for _ in owned:
             parent_end, child_end = ctx.Pipe()
             proc = ctx.Process(target=_worker_main, args=(child_end,),
                                daemon=True)
@@ -345,73 +374,42 @@ class ParallelMulticomputer:
             child_end.close()
             self._conns.append(parent_end)
             self._procs.append(proc)
-        self._started = True
-        replies = self._broadcast([["init", payload, self.owned[w]]
-                                   for w in range(self.workers)])
-        for reply in replies:
-            self._ingest(reply["nodes"])
+        #: True while worker state has advanced past the engine's
+        #: machine; cleared when the two are made equal again
+        self.dirty = False
+        self.reload(machine)
 
-    def _ensure_started(self) -> None:
-        if self._closed:
-            raise ParallelError("the parallel engine is closed")
-        if not self._started:
-            self.start()
+    def _set_owned(self, owned: list[list[int]]) -> None:
+        self.owned = [list(nodes) for nodes in owned]
+        self.owner = {n: w for w, nodes in enumerate(self.owned)
+                      for n in nodes}
 
-    def close(self, force: bool = False) -> None:
-        """Stop the workers.  The wrapped machine keeps whatever state
-        the last :meth:`sync_back` gave it."""
-        if self._closed:
-            return
-        self._closed = True
-        for conn in self._conns:
-            try:
-                if not force:
-                    conn.send(["stop"])
-                    conn.recv()
-            except (OSError, EOFError, BrokenPipeError):
-                pass
-            try:
-                conn.close()
-            except OSError:
-                pass
-        for proc in self._procs:
-            proc.join(timeout=5)
-            if proc.is_alive():
-                proc.terminate()
-        self._conns = []
-        self._procs = []
-
-    # -- RPC plumbing ----------------------------------------------------
+    # -- RPC plumbing ------------------------------------------------------
 
     def _send(self, w: int, command: list) -> None:
         try:
             self._conns[w].send(command)
-        except (OSError, BrokenPipeError) as exc:
-            self._worker_down(w, f"pipe to worker {w} broke: {exc}")
+        except OSError as exc:
+            self._worker_down(f"pipe to worker {w} broke: {exc}")
 
-    def _recv(self, w: int):
+    def _recv(self, w: int, verb: str):
         try:
             reply = self._conns[w].recv()
         except (EOFError, OSError) as exc:
-            self._worker_down(w, f"worker {w} died mid-reply: {exc}")
+            self._worker_down(f"worker {w} died mid-reply: {exc}")
         if reply[0] == "error":
             self._worker_crashed(w, reply)
-        return reply[1]
+        _, payload, report = reply
+        if report is not None:
+            for n, (now, runnable, faulted) in report.items():
+                self._now[n] = now
+                self._runnable[n] = runnable
+                self._faulted[n] = faulted
+        if verb not in _READ_ONLY:
+            self.dirty = True
+        return payload
 
-    def _call(self, w: int, command: list):
-        self._send(w, command)
-        return self._recv(w)
-
-    def _broadcast(self, commands: list[list]) -> list:
-        """One command per worker, sent before any reply is awaited so
-        the workers overlap."""
-        for w, command in enumerate(commands):
-            if command is not None:
-                self._send(w, command)
-        return [self._recv(w) if commands[w] is not None else None
-                for w in range(self.workers)]
-
-    def _worker_down(self, w: int, why: str):
+    def _worker_down(self, why: str):
         self.close(force=True)
         raise ParallelError(why)
 
@@ -431,132 +429,253 @@ class ParallelMulticomputer:
         raise ParallelError(
             f"worker {w} crashed (flight recorders under {directory}):\n{tb}")
 
-    def _ingest(self, nodes: dict) -> None:
-        for n, (now, runnable, faulted) in nodes.items():
-            n = int(n)
-            self._now[n] = now
-            self._runnable[n] = runnable
-            self._faulted[n] = faulted
+    def scatter(self, commands: list) -> list:
+        """One command per worker, all sent before any reply is awaited
+        so the workers overlap."""
+        if self._closed:
+            raise ParallelError("the parallel engine is closed")
+        for w, command in enumerate(commands):
+            if command is not None:
+                self._send(w, command)
+        return [None if command is None else self._recv(w, command[0])
+                for w, command in enumerate(commands)]
 
-    # -- the clock (serial control flow, sharded) ------------------------
+    def broadcast(self, verb: str, *args) -> list:
+        return self.scatter([[verb, *args]] * len(self.owned))
 
-    def _advance(self, end: int, drain: bool) -> int:
-        nb = self.machine._next_barrier
-        replies = self._broadcast([["advance", end, nb, drain]]
-                                  * self.workers)
+    def call(self, node: int, verb: str, *args):
+        commands: list = [None] * len(self.owned)
+        commands[self.owner[node]] = [verb, *args]
+        return self.scatter(commands)[self.owner[node]]
+
+    # -- the mirrors -------------------------------------------------------
+
+    def now(self) -> int:
+        return max(self._now)
+
+    def skip_to(self, target: int) -> None:
+        """Only the workers owning a node behind ``target`` are asked."""
+        self.scatter([
+            ["skip", target] if any(self._now[n] < target for n in nodes)
+            else None for nodes in self.owned])
+
+    def runnable(self) -> bool:
+        return any(self._runnable)
+
+    def faulted(self) -> bool:
+        return any(self._faulted)
+
+    # -- lifecycle ---------------------------------------------------------
+
+    def reload(self, machine, owned=None) -> None:
+        """Warm-start every worker from a fresh capture of ``machine``,
+        optionally under a new ownership map."""
+        from repro.persist.image import capture_multicomputer
+
+        if owned is not None:
+            self._set_owned(owned)
+        payload = capture_multicomputer(machine)
+        self.scatter([["reload", payload, nodes] for nodes in self.owned])
+        self.dirty = False
+
+    def close(self, force: bool = False) -> None:
+        if self._closed:
+            return
+        self._closed = True
+        for conn in self._conns:
+            try:
+                if not force:
+                    conn.send(["stop"])
+                    conn.recv()
+            except (OSError, EOFError):
+                pass
+            try:
+                conn.close()
+            except OSError:
+                pass
+        # a forked worker inherits its own pipe's coordinator end, so
+        # closing the pipe here never reaches it as EOF: a forced close
+        # (a worker died or crashed) terminates the survivors outright
+        for proc in self._procs:
+            if not force:
+                proc.join(timeout=5)
+            if proc.is_alive():
+                proc.terminate()
+        self._conns = []
+        self._procs = []
+
+
+# -- the engine -----------------------------------------------------------
+
+class WindowEngine:
+    """The machine-wide clock and the node-level verbs of one machine —
+    a lone chip or a :class:`Multicomputer` — over an executor.
+
+    With ``workers == 1`` the executor is in-process for good.  With
+    ``workers > 1`` the engine serves every verb in-process, over its
+    own machine, until :meth:`start` (called by the first
+    clock-advancing verb) forks the workers; from then on the workers
+    are authoritative for node state (chips, kernels, sequence
+    counters) and the engine's machine for the mesh network, the
+    migration forwarding map and the barrier position.  A lone chip has
+    no windows: its clock verbs are the chip's own."""
+
+    def __init__(self, kernels, machine=None, workers: int = 1):
+        self.machine = machine
+        self.chips = [kernel.chip for kernel in kernels]
+        self._plan = partition_nodes(len(self.chips), workers)
+        #: worker processes the clock runs across once started
+        self.workers = len(self._plan)
+        self._ex = _InProcess(self.chips, kernels, machine)
+        self._closed = False
+        #: window messages drained from the nodes but not yet
+        #: barrier-processed; the (cycle, src, seq) sort at the barrier
+        #: makes the buffering location irrelevant
+        self._msgbuf: list[list] = []
+
+    # -- lifecycle ---------------------------------------------------------
+
+    @property
+    def stale(self) -> bool:
+        """True while worker state has advanced past the engine's
+        machine (direct access to it would read stale state)."""
+        return self._ex.dirty
+
+    def start(self) -> None:
+        """Fork the workers and warm-start each from a snapshot of the
+        engine's machine (the capture/restore path snapshots and
+        rebalancing use).  A no-op once started, and for one worker."""
+        if self._closed:
+            raise ParallelError("the parallel engine is closed")
+        if self.workers > 1 and not self._ex.remote:
+            self._ex = _Processes(self.machine, self._plan)
+
+    def close(self) -> None:
+        """Stop the workers, if any.  The engine's machine keeps
+        whatever state the last :meth:`sync_back` gave it."""
+        if self.workers > 1:
+            self._closed = True
+        self._ex.close()
+
+    @property
+    def now(self) -> int:
+        return self._ex.now()
+
+    # -- the window loop ---------------------------------------------------
+
+    def _advance(self, verb: str, arg: int, drain: bool) -> int:
+        """Advance every node (``advance`` to a cycle, or ``step`` a
+        count); at a barrier, drain the window's messages too."""
         issued = 0
-        for reply in replies:
-            issued += reply["issued"]
-            self._ingest(reply["nodes"])
-            self._msgbuf.extend(reply["messages"])
-        self.dirty = True
+        for count, messages in self._ex.broadcast(
+                verb, arg, self.machine._next_barrier, drain):
+            issued += count
+            self._msgbuf.extend(messages)
         return issued
 
     def _collect(self) -> None:
-        replies = self._broadcast([["collect"]] * self.workers)
-        for reply in replies:
-            self._ingest(reply["nodes"])
-            self._msgbuf.extend(reply["messages"])
-
-    def _skip_to(self, target: int) -> None:
-        commands: list = [None] * self.workers
-        for w, nodes in enumerate(self.owned):
-            behind = {n: target for n in nodes if self._now[n] < target}
-            if behind:
-                commands[w] = ["skip", behind]
-        for reply in self._broadcast(commands):
-            if reply is not None:
-                self._ingest(reply["nodes"])
-        self.dirty = True
+        for messages in self._ex.broadcast("collect"):
+            self._msgbuf.extend(messages)
 
     def _barrier(self) -> None:
-        """The serial :meth:`Multicomputer._process_barrier`, with the
-        home ops and effects executed by the owning workers."""
+        """Exchange one window's traffic: phase A on the engine's
+        machine, home ops and phase-B effects at each node's owner.  The
+        (cycle, src_node, seq) sort is exactly the order a
+        cycle-interleaved engine would have presented the messages to
+        the network and the home memories."""
         messages = self._msgbuf
         self._msgbuf = []
         if not messages:
             return
         messages.sort(key=lambda m: (m[1], m[2], m[3]))
-        home_ops, timing = self.machine._plan_barrier(messages)
-        commands: list = [None] * self.workers
+        machine, ex = self.machine, self._ex
+        home_ops, timing = machine._plan_barrier(messages)
+        commands: list = [None] * len(ex.owned)
         for home in sorted(home_ops):
-            w = self._owner[home]
+            w = ex.owner[home]
             if commands[w] is None:
                 commands[w] = ["home_ops", []]
             commands[w][1].extend((index, msg, home)
                                   for index, msg in home_ops[home])
         replies: dict[int, list] = {}
-        for reply in self._broadcast(commands):
+        for reply in ex.scatter(commands):
             if reply is not None:
-                replies.update(reply["replies"])
-                self._ingest(reply["nodes"])
-        per_node = self.machine._route_effects(messages, timing, replies)
-        commands = [None] * self.workers
+                replies.update(reply)
+        per_node = machine._route_effects(messages, timing, replies)
+        commands = [None] * len(ex.owned)
         for node, effects in per_node.items():
             if effects:
-                w = self._owner[node]
+                w = ex.owner[node]
                 if commands[w] is None:
                     commands[w] = ["effects", {}]
                 commands[w][1][node] = effects
-        for reply in self._broadcast(commands):
-            if reply is not None:
-                self._ingest(reply["nodes"])
-        self.dirty = True
+        ex.scatter(commands)
 
     def run(self, max_cycles: int = 1_000_000) -> RunResult:
-        """Mirror of :meth:`Multicomputer.run` over the shards; the
-        statement order matches the serial engine exactly (see the
-        module docstring)."""
-        self._ensure_started()
-        machine = self.machine
-        start = max(self._now)
+        """Advance the machine in lookahead windows until every thread
+        stops (see :mod:`repro.machine.multicomputer`).  Within a
+        window each node runs independently; barriers exchange the
+        queued traffic."""
+        if self.machine is None:
+            return self.chips[0].run(max_cycles)
+        self.start()
+        machine, ex = self.machine, self._ex
+        start = self.now
         deadline = start + max_cycles
         issued = 0
         while True:
-            if sum(self._runnable) == 0:
+            if not ex.runnable():
+                # Threads may be done while posted stores / broadcasts
+                # are still queued: drain them early (nothing runnable
+                # can observe the exchange), re-align every node to the
+                # last cycle any node actually reached — the cycle
+                # lockstep would have stopped at — and report why.
                 self._collect()
                 self._barrier()
-                last = max(self._now)
-                self._skip_to(last)
-                if any(self._runnable):
-                    continue  # defensive, as in the serial engine
-                reason = (RunReason.FAULTED if any(self._faulted)
+                last = self.now
+                self._ex.skip_to(last)
+                if ex.runnable():
+                    continue  # defensive; barrier effects cannot wake
+                reason = (RunReason.FAULTED if ex.faulted()
                           else RunReason.HALTED)
                 return RunResult(last - start, issued, reason)
-            now = max(self._now)
+            # runnable nodes are clock-aligned here (every window pass
+            # below re-aligns the quiet ones)
+            now = self.now
             if now >= deadline:
                 return RunResult(now - start, issued, RunReason.MAX_CYCLES)
             end = min(machine._next_barrier, deadline)
             at_barrier = end == machine._next_barrier
-            issued += self._advance(end, drain=at_barrier)
-            if any(self._runnable):
-                self._skip_to(end)
+            issued += self._advance("advance", end, at_barrier)
+            if ex.runnable():
+                # the machine is still alive: nodes that went quiet
+                # mid-window idle along to the boundary, as lockstep
+                # would have charged them
+                self._ex.skip_to(end)
             if at_barrier:
                 self._barrier()
                 machine._next_barrier += machine.window
-        # unreachable
 
-    def step_many(self, cycles: int) -> int:
-        """``cycles`` single-cycle steps of every node, with barriers
-        firing exactly where :meth:`Multicomputer.step` fires them.
-        Within a window nodes are independent, so block-stepping each
-        shard ``k = min(cycles, barrier - now)`` cycles is identical to
-        interleaving."""
-        self._ensure_started()
+    def step(self, cycles: int = 1) -> int:
+        """``cycles`` single-cycle steps of every node; returns bundles
+        issued.  Barriers fire exactly when the clock reaches them.
+        Within a window nodes are independent, so stepping each node
+        ``k = min(cycles, barrier - now)`` cycles in turn is identical
+        to interleaving them."""
+        if self.machine is None:
+            chip = self.chips[0]
+            issued = 0
+            for _ in range(cycles):
+                issued += chip.step()
+            return issued
+        self.start()
         machine = self.machine
         issued = 0
         while cycles > 0:
-            now = self._now[0]
+            now = self.now
             k = min(cycles, max(1, machine._next_barrier - now))
             at_barrier = now + k >= machine._next_barrier
-            replies = self._broadcast(
-                [["step", k, machine._next_barrier, at_barrier]]
-                * self.workers)
-            for reply in replies:
-                issued += reply["issued"]
-                self._ingest(reply["nodes"])
-                self._msgbuf.extend(reply["messages"])
-            self.dirty = True
+            issued += self._advance("step", k, at_barrier)
             if at_barrier:
                 self._barrier()
                 machine._next_barrier += machine.window
@@ -564,43 +683,69 @@ class ParallelMulticomputer:
         return issued
 
     def advance_idle(self, cycles: int) -> None:
-        self._ensure_started()
-        if any(self._runnable):
+        """Skip guaranteed-idle cycles on every node.  Any in-flight
+        window traffic drains first (nothing runnable can observe the
+        early exchange), and the barrier grid re-anchors past the
+        skip."""
+        if self.machine is None:
+            self.chips[0].advance_idle(cycles)
+            return
+        self.start()
+        if self._ex.runnable():
             raise ValueError("cannot skip cycles while threads are runnable")
         if cycles <= 0:
             return
         self._collect()
         self._barrier()
-        for reply in self._broadcast([["skip_all", cycles]] * self.workers):
-            self._ingest(reply["nodes"])
-        self.dirty = True
-        now = self._now[0]
-        if self.machine._next_barrier <= now:
-            self.machine._next_barrier = now + self.machine.window
+        self._ex.broadcast("skip_all", cycles)
+        machine = self.machine
+        now = self.now
+        if machine._next_barrier <= now:
+            machine._next_barrier = now + machine.window
 
-    @property
-    def now(self) -> int:
-        if not self._started:
-            return self.machine.chips[0].now
-        return max(self._now)
+    def drain_to_barrier(self) -> None:
+        """Bring the machine to a message-quiet point: if any window
+        traffic is pending, advance to the next barrier and exchange it
+        (the clock may move forward by up to one window).  At a quiet
+        point — right after any barrier — this moves nothing."""
+        self._collect()
+        if not self._msgbuf:
+            return
+        machine = self.machine
+        end = machine._next_barrier
+        if self._ex.runnable() and self.now < end:
+            self._advance("advance", end, True)
+            if self._ex.runnable():
+                self._ex.skip_to(end)
+            self._barrier()
+            machine._next_barrier += machine.window
+        else:
+            self._barrier()
+        # home-side demand paging at the barrier can evict (swap) and
+        # re-queue flush broadcasts; pull those into the engine buffer
+        # so a subsequent capture records them
+        self._collect()
 
-    # -- workload verbs (post-start) -------------------------------------
+    # -- workload verbs ----------------------------------------------------
 
-    def spawn_request(self, node: int, entry, kwargs: dict) -> int:
-        self._ensure_started()
-        reply = self._call(self._owner[node], ["spawn", node, entry, kwargs])
-        self._ingest(reply["nodes"])
-        self.dirty = True
-        return reply["tid"]
+    def spawn_request(self, node: int, entry, domain: int, regs,
+                      stack_bytes: int) -> int:
+        return self._ex.call(node, "spawn", node, entry, domain, regs,
+                             stack_bytes)
 
     def retire_finished(self, pending: list[tuple[int, int]],
                         result_reg: int) -> list[dict]:
         """Retire the finished threads among ``pending`` (node, tid)
         pairs, returned in ``pending`` order."""
-        self._ensure_started()
-        commands: list = [None] * self.workers
+        ex = self._ex
+        commands: list = [None] * len(ex.owned)
         for node, tid in pending:
-            w = self._owner[node]
+            try:
+                w = ex.owner[node]
+            except KeyError:
+                raise ValueError(
+                    f"node {node} out of range for a {len(self.chips)}-node "
+                    f"machine") from None
             if commands[w] is None:
                 commands[w] = ["retire", [], result_reg]
             per_node = commands[w][1]
@@ -609,110 +754,69 @@ class ParallelMulticomputer:
             else:
                 per_node.append((node, [tid]))
         by_key: dict[tuple[int, int], dict] = {}
-        for reply in self._broadcast(commands):
-            if reply is None:
-                continue
-            self._ingest(reply["nodes"])
-            for node, tid, state, halted_at, result in reply["finished"]:
+        for reply in ex.scatter(commands):
+            for node, tid, state, halted_at, result in reply or ():
                 by_key[(node, tid)] = {"node": node, "tid": tid,
                                        "state": state,
                                        "halted_at": halted_at,
                                        "result": result}
-        self.dirty = True
         return [by_key[key] for key in pending if key in by_key]
 
     def record_sample(self, node: int, name: str, value: int) -> None:
-        self._ensure_started()
-        self._call(self._owner[node], ["hist", node, name, value])
-        self.dirty = True
+        self._ex.call(node, "hist", node, name, value)
 
     def emit(self, node: int, name: str, cycle: int, tid, dur,
              args: dict) -> None:
-        """Emit one event into ``node``'s hub, wherever it lives — the
-        owning worker's flight recorder (and any attached sinks) gets
-        it, exactly as a lockstep emit would."""
-        self._ensure_started()
-        self._call(self._owner[node], ["emit", node, name, cycle, tid,
-                                       dur, args])
-        self.dirty = True
+        """Emit one event into ``node``'s hub, wherever it lives."""
+        self._ex.call(node, "emit", node, name, cycle, tid, dur, args)
 
-    def counters_per_node(self) -> dict[int, dict]:
-        """Every node's counter snapshot, pulled from its owning worker
-        (the time-series sampler's per-window read)."""
-        self._ensure_started()
+    def _gather(self, verb: str) -> dict[int, dict]:
+        """One per-node read from every owner, merged by node."""
         per_node: dict[int, dict] = {}
-        for reply in self._broadcast([["counters"]] * self.workers):
-            per_node.update({int(n): snap for n, snap in reply.items()})
+        for reply in self._ex.broadcast(verb):
+            per_node.update(reply)
         return per_node
 
-    def counters_snapshot(self) -> dict:
-        return merge_snapshots(self.counters_per_node())
-
-    def span_collector(self) -> "_ParallelSpanCollector":
-        """Span-level recording across the shards: worker-side sinks
-        catch chip events (misses, faults, enter crossings, swap,
-        halts); coordinator-side sinks catch what only the coordinator
-        runs — ``router.hop`` from barrier planning and the serial
-        migration path's ``migrate.*``.  The two sets are disjoint, so
-        their union is exactly the lockstep engine's stream."""
-        self._ensure_started()
-        return _ParallelSpanCollector(self)
+    def counters_per_node(self) -> dict[int, dict]:
+        return self._gather("counters")
 
     def flight_dumps(self) -> dict[int, dict]:
-        self._ensure_started()
-        dumps: dict[int, dict] = {}
-        for reply in self._broadcast([["flights"]] * self.workers):
-            dumps.update({int(n): d for n, d in reply.items()})
-        return dumps
+        return self._gather("flights")
 
-    # -- draining, snapshots, rebalancing --------------------------------
+    def span_collector(self) -> "_SpanCollector":
+        """Span-level recording: sinks on every node's hub, wherever it
+        lives, plus — on the sharded engine — on the coordinator's own
+        hubs, which catch what only the coordinator runs (``router.hop``
+        from barrier planning, the migration path's ``migrate.*``).
+        The two sets are disjoint, so their union is exactly the
+        lockstep stream.  Starts the workers."""
+        self.start()
+        return _SpanCollector(self._ex)
 
-    def drain_to_barrier(self) -> None:
-        """Bring the machine to a message-quiet point: if any window
-        traffic is pending, advance to the next barrier and exchange it
-        (the documented save/migrate semantics for the sharded engine:
-        the clock may move forward by up to one window).  At a quiet
-        point — right after any barrier — this moves nothing."""
-        self._ensure_started()
-        self._collect()
-        if not self._msgbuf:
-            return
-        machine = self.machine
-        end = machine._next_barrier
-        if any(self._runnable) and max(self._now) < end:
-            self._advance(end, drain=True)
-            if any(self._runnable):
-                self._skip_to(end)
-            self._barrier()
-            machine._next_barrier += machine.window
-        else:
-            self._barrier()
-        # home-side demand paging at the barrier can evict (swap) and
-        # re-queue flush broadcasts; pull those into the coordinator
-        # buffer so a subsequent capture records them
-        self._collect()
+    # -- syncing, snapshots, rebalancing -----------------------------------
 
     def sync_back(self) -> None:
-        """Drain to a barrier and restore every node's true state into
-        the wrapped machine, making it authoritative again (for
-        capture, digesting, or migration)."""
-        self._ensure_started()
-        self.drain_to_barrier()
+        """Make the engine's machine authoritative again: drain to a
+        barrier and restore every node's true state into it, from the
+        workers.  A no-op in-process (the machine is the nodes)."""
+        if not self._ex.remote:
+            return
         from repro.persist.image import restore_node
 
+        self.drain_to_barrier()
         machine = self.machine
-        for reply in self._broadcast([["capture"]] * self.workers):
+        for reply in self._ex.broadcast("capture"):
             for n, node_state in reply["nodes"].items():
-                restore_node(machine.kernels[int(n)], node_state)
+                restore_node(machine.kernels[n], node_state)
             for n, seq in reply["seq"].items():
-                machine._seq[int(n)] = seq
-        # straggler messages live in the coordinator buffer; mirror
-        # them into the machine's outboxes so a capture carries them
-        # (the buffer itself stays queued for the next barrier)
+                machine._seq[n] = seq
+        # straggler messages live in the engine buffer; mirror them
+        # into the machine's outboxes so a capture carries them (the
+        # buffer itself stays queued for the next barrier)
         machine._outbox = [[] for _ in machine.chips]
         for msg in sorted(self._msgbuf, key=lambda m: (m[1], m[2], m[3])):
             machine._outbox[msg[2]].append(msg)
-        self.dirty = False
+        self._ex.dirty = False
 
     def capture_state(self) -> dict:
         from repro.persist.image import capture_multicomputer
@@ -720,45 +824,41 @@ class ParallelMulticomputer:
         self.sync_back()
         return capture_multicomputer(self.machine)
 
+    def _reship(self, owned=None) -> None:
+        self._msgbuf = []  # rides inside the machine's outboxes now
+        self._ex.reload(self.machine, owned)
+
+    def restore_state(self, state: dict) -> None:
+        """Overwrite the machine with a captured image, and every
+        worker with it."""
+        self.machine.restore_state(state)
+        self._reship()
+
     def rebalance(self, owned: list[list[int]] | None = None) -> None:
         """Re-shard: drain, sync the machine, optionally install a new
         ownership map, and warm-start every worker from the fresh
         snapshot.  The window protocol makes execution independent of
         the map, so this is bit-exact."""
+        self.start()
         self.sync_back()
         if owned is not None:
             flat = sorted(n for nodes in owned for n in nodes)
-            if flat != list(range(len(self.machine.chips))) or \
-                    len(owned) != self.workers:
+            if flat != list(range(len(self.chips))) or \
+                    len(owned) != len(self._ex.owned):
                 raise ValueError(
                     "ownership map must cover every node exactly once "
                     "across the existing workers")
-            self.owned = [list(nodes) for nodes in owned]
-            self._owner = {n: w for w, nodes in enumerate(self.owned)
-                           for n in nodes}
-        self._reship()
-
-    def _reship(self) -> None:
-        from repro.persist.image import capture_multicomputer
-
-        payload = capture_multicomputer(self.machine)
-        self._msgbuf = []  # rides inside the payload's outboxes now
-        replies = self._broadcast([["reload", payload, self.owned[w]]
-                                   for w in range(self.workers)])
-        for reply in replies:
-            self._ingest(reply["nodes"])
-
-    # -- migration -------------------------------------------------------
+        self._reship(owned)
 
     def migrate(self, process, destination: int, pin=()):
-        """Live-migrate ``process``: drain to a barrier, sync the
-        machine, re-bind the process's thread handles to the restored
-        thread objects, run the serial migration there, and warm-start
-        the workers from the result.  The drain means the clock may sit
-        up to one window past where a serial engine would have migrated
-        — bit-equality with lockstep is guaranteed for non-migrating
-        workloads and preserved *from this point on* for migrating
-        ones."""
+        """Live-migrate ``process``: sync the machine, re-bind the
+        process's thread handles to the machine's thread objects (a
+        sync restores fresh ones), run the migration there, and
+        re-ship the result.  The sharded engine's sync drains to a
+        barrier, so its clock may sit up to one window past where
+        lockstep would have migrated — bit-equality with lockstep holds
+        for non-migrating workloads and *from this point on* for
+        migrating ones."""
         from repro.persist.migrate import MigrationError, MigrationService
         from repro.persist.state import threads_by_tid
 
@@ -772,35 +872,25 @@ class ParallelMulticomputer:
         report = MigrationService(self.machine).migrate(process, destination,
                                                         pin)
         self._reship()
-        self.dirty = True
         return report
 
 
-class _ParallelSpanCollector:
-    """Worker-side span sinks plus coordinator-side sinks, drained as
-    one event list (see :meth:`ParallelMulticomputer.span_collector`)."""
+class _SpanCollector:
+    """Node sinks (worker side) plus coordinator sinks, drained as one
+    event list (see :meth:`WindowEngine.span_collector`)."""
 
-    def __init__(self, engine: ParallelMulticomputer):
-        from repro.obs.requests import LockstepSpanCollector
-
-        self._engine = engine
-        # coordinator chips never advance, but their hubs receive
-        # router.hop (barrier planning) and migrate/swap events from
-        # the serial migration path run after sync_back
-        self._local = LockstepSpanCollector(
-            [chip.obs for chip in engine.machine.chips])
-        engine._broadcast([["trace_on"]] * engine.workers)
+    def __init__(self, ex):
+        self._ex = ex
+        ex.coordinator.trace_on()
+        ex.broadcast("trace_on")
         self._drained = None
 
-    def drain(self):
-        from repro.obs.events import decode_event
-
+    def drain(self) -> list:
         if self._drained is None:
-            events = list(self._local.drain())
-            replies = self._engine._broadcast(
-                [["trace_drain"]] * self._engine.workers)
-            for reply in replies:
-                for _, encoded in sorted(reply["events"].items()):
-                    events.extend(decode_event(e) for e in encoded)
+            events: list = []
+            for per_node in [self._ex.coordinator.trace_drain(),
+                             *self._ex.broadcast("trace_drain")]:
+                for _, sink in sorted(per_node.items()):
+                    events.extend(sink)
             self._drained = events
         return self._drained

@@ -148,26 +148,6 @@ class RequestTraceRecorder:
         return assemble_tail(self.records, self.finish(), k)
 
 
-class LockstepSpanCollector:
-    """Span-level sinks on every hub of an in-process machine."""
-
-    def __init__(self, hubs):
-        self._hubs = list(hubs)
-        self._sinks: list[list] = [[] for _ in self._hubs]
-        for hub, sink in zip(self._hubs, self._sinks):
-            hub.attach(sink, hot=False)
-        self._drained: list[TraceEvent] | None = None
-
-    def drain(self) -> list[TraceEvent]:
-        if self._drained is None:
-            events: list[TraceEvent] = []
-            for hub, sink in zip(self._hubs, self._sinks):
-                hub.detach(sink)
-                events.extend(sink)
-            self._drained = events
-        return self._drained
-
-
 # -- critical-path assembly ---------------------------------------------
 
 def _free_parts(span: tuple[int, int],

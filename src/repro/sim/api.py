@@ -21,12 +21,21 @@ The same surface fronts a multicomputer: ``Simulation(nodes=4)`` (or
 ``Simulation.mesh(MeshShape(2, 2, 1))``) builds a mesh of MAP nodes
 over one 54-bit global address space, and every facade method keeps
 working — ``load``/``allocate``/``spawn`` take a keyword-only ``node``
-to place work, ``run``/``step`` drive every node in lockstep,
+to place work, ``run``/``step`` drive every node in lookahead windows,
 ``snapshot()`` merges the per-node counter files, ``trace()`` records
 all nodes onto one timeline, and ``save``/``restore`` round-trip the
 whole machine.  A workload written against the facade runs unchanged
 on 1 node or 16; ``examples/multinode_sharing.py`` and the service
 load driver (:mod:`repro.service`) are the proof.
+
+Every machine shape sits behind one engine
+(:class:`~repro.machine.parallel.WindowEngine`), and the clock and
+request verbs call it unconditionally: with ``workers=1`` it executes
+in-process (lockstep), with ``workers > 1`` it shards the nodes across
+OS processes once the clock first moves.  The same verbs give the
+same results; three refusals remain: direct access to a stale
+in-process copy and ``trace()`` on a sharded machine, and
+``rebalance()`` on a lockstep one.
 
 Everything underneath remains reachable (``sim.chip``, ``sim.kernel``,
 ``sim.machine`` on a mesh) for code that genuinely needs the lower
@@ -42,7 +51,8 @@ from repro.core.exceptions import GuardedPointerFault
 from repro.core.pointer import GuardedPointer
 from repro.machine.assembler import Program
 from repro.machine.chip import ChipConfig, MAPChip, RunResult
-from repro.machine.counters import PerfCounters
+from repro.machine.counters import PerfCounters, merge_snapshots
+from repro.machine.parallel import WindowEngine
 from repro.machine.thread import Thread
 from repro.runtime.kernel import Kernel
 
@@ -113,19 +123,15 @@ class Simulation:
         else:
             if arena_order is not None:
                 raise ValueError("arena_order only applies to a mesh")
+            if workers > 1:
+                raise SimulationError(
+                    "workers > 1 needs a mesh: a single node has nothing "
+                    "to shard")
             self.machine = None
             chip = MAPChip(self.config)
             self.chips = [chip]
             self.kernels = [Kernel(chip)]
-        self._engine = None
-        if workers > 1:
-            if self.machine is None:
-                raise SimulationError(
-                    "workers > 1 needs a mesh: a single node has nothing "
-                    "to shard")
-            from repro.machine.parallel import ParallelMulticomputer
-
-            self._engine = ParallelMulticomputer(self.machine, workers)
+        self._engine = WindowEngine(self.kernels, self.machine, workers)
 
     @classmethod
     def mesh(cls, shape=None, config: ChipConfig | None = None,
@@ -147,26 +153,26 @@ class Simulation:
         sim.machine = machine
         sim.chips = machine.chips
         sim.kernels = machine.kernels
-        sim._engine = None
+        sim._engine = WindowEngine(machine.kernels, machine)
         return sim
 
-    # -- the sharded engine (repro.machine.parallel) ------------------------
+    # -- the engine (repro.machine.parallel) --------------------------------
 
     @property
     def workers(self) -> int:
         """OS worker processes the clock runs across (1 = lockstep)."""
-        return 1 if self._engine is None else self._engine.workers
+        return self._engine.workers
 
     @property
     def engine(self):
-        """The sharded coordinator, or ``None`` on the lockstep engine."""
-        return self._engine
+        """The sharded engine, or ``None`` when the clock runs
+        in-process (``workers=1``)."""
+        return self._engine if self._engine.workers > 1 else None
 
     def _guard_sharded(self, what: str) -> None:
         """Forbid direct machine access once worker state has advanced
         past the in-process machine's (the mirror is stale)."""
-        if self._engine is not None and self._engine.started \
-                and self._engine.dirty:
+        if self._engine.stale:
             raise SimulationError(
                 f"{what}: the machine is sharded across worker processes "
                 f"and the in-process copy is stale; use the facade verbs "
@@ -177,24 +183,21 @@ class Simulation:
         """Make the in-process machine authoritative again: on the
         sharded engine, drain to a window barrier and pull every node's
         state back (no-op on the lockstep engine)."""
-        if self._engine is not None and self._engine.started:
-            self._engine.sync_back()
+        self._engine.sync_back()
 
     def close(self) -> None:
         """Stop worker processes, if any (no-op on the lockstep
         engine).  The in-process machine keeps the state of the last
         :meth:`sync_back`."""
-        if self._engine is not None:
-            self._engine.close()
+        self._engine.close()
 
     def rebalance(self, owned: list[list[int]] | None = None) -> None:
         """Re-shard node ownership across the workers (sharded engine
         only): drain, sync, and warm-start every worker from the fresh
         snapshot — bit-exact, since the window protocol makes execution
         independent of the ownership map."""
-        if self._engine is None:
+        if self._engine.workers == 1:
             raise SimulationError("rebalance needs workers > 1")
-        self._engine._ensure_started()
         self._engine.rebalance(owned)
 
     # -- machine shape -----------------------------------------------------
@@ -293,39 +296,25 @@ class Simulation:
     # -- the clock ---------------------------------------------------------
 
     def run(self, max_cycles: int = 1_000_000) -> RunResult:
-        """Run to completion — every node in lockstep on a mesh (see
-        :meth:`MAPChip.run` / :meth:`Multicomputer.run`), sharded
-        across OS processes with ``workers > 1``."""
-        if self._engine is not None:
-            return self._engine.run(max_cycles)
-        target = self.machine if self.machine is not None else self.chip
-        return target.run(max_cycles)
+        """Run to completion — the chip's own loop on one node
+        (:meth:`MAPChip.run`), lookahead windows on a mesh
+        (:meth:`WindowEngine.run`), sharded across OS processes with
+        ``workers > 1``."""
+        return self._engine.run(max_cycles)
 
     def step(self, cycles: int = 1) -> int:
-        """Advance the clock ``cycles`` cycles (lockstep across nodes);
-        returns bundles issued."""
-        if self._engine is not None:
-            return self._engine.step_many(cycles)
-        target = self.machine if self.machine is not None else self.chip
-        issued = 0
-        for _ in range(cycles):
-            issued += target.step()
-        return issued
+        """Advance the clock ``cycles`` cycles on every node; returns
+        bundles issued."""
+        return self._engine.step(cycles)
 
     def advance_idle(self, cycles: int) -> None:
         """Skip guaranteed-idle cycles (only legal when nothing is
         runnable; see :meth:`MAPChip.advance_idle`)."""
-        if self._engine is not None:
-            self._engine.advance_idle(cycles)
-            return
-        target = self.machine if self.machine is not None else self.chip
-        target.advance_idle(cycles)
+        self._engine.advance_idle(cycles)
 
     @property
     def now(self) -> int:
-        if self._engine is not None:
-            return self._engine.now
-        return self.chips[0].now
+        return self._engine.now
 
     # -- engine-neutral request handles -------------------------------------
     # (the service load driver runs on these, so the same driver code
@@ -337,13 +326,8 @@ class Simulation:
         """Spawn a request thread on ``node`` and return its tid — a
         handle that stays valid on both engines (a live
         :class:`Thread` object would not cross a process boundary)."""
-        node = self._check_node(node)
-        if self._engine is not None and self._engine.started:
-            return self._engine.spawn_request(
-                node, entry, {"domain": domain, "regs": regs,
-                              "stack_bytes": stack_bytes})
-        return self.kernels[node].spawn(entry, domain=domain, regs=regs,
-                                        stack_bytes=stack_bytes).tid
+        return self._engine.spawn_request(self._check_node(node), entry,
+                                          domain, regs, stack_bytes)
 
     def retire_finished(self, pending, result_reg: int = 5) -> list[dict]:
         """Retire the finished threads among ``pending`` — an iterable
@@ -353,36 +337,13 @@ class Simulation:
         ``halted_at`` and ``result`` (the value of ``result_reg`` at
         HALT).  Still-running handles are left alone; a handle whose
         thread the kernel already reaped reports as FAULTED."""
-        pending = list(pending)
-        if self._engine is not None and self._engine.started:
-            return self._engine.retire_finished(pending, result_reg)
-        from repro.machine.parallel import retire_on_chip
-
-        per_node: list[tuple[int, list[int]]] = []
-        for node, tid in pending:
-            if per_node and per_node[-1][0] == node:
-                per_node[-1][1].append(tid)
-            else:
-                per_node.append((self._check_node(node), [tid]))
-        by_key = {}
-        for node, tids in per_node:
-            for tid, state, halted_at, result in retire_on_chip(
-                    self.chips[node], tids, result_reg):
-                by_key[(node, tid)] = {"node": node, "tid": tid,
-                                       "state": state,
-                                       "halted_at": halted_at,
-                                       "result": result}
-        return [by_key[key] for key in pending if key in by_key]
+        return self._engine.retire_finished(list(pending), result_reg)
 
     def record_sample(self, node: int, name: str, value: int) -> None:
         """Add one sample to ``node``'s named histogram (created on
         first use; see :meth:`repro.obs.hub.TraceHub.add_histogram`) —
         works on both engines."""
-        node = self._check_node(node)
-        if self._engine is not None and self._engine.started:
-            self._engine.record_sample(node, name, value)
-            return
-        self.chips[node].obs.add_histogram(name).add(value)
+        self._engine.record_sample(self._check_node(node), name, value)
 
     def emit(self, node: int, name: str, cycle: int, *,
              tid: int | None = None, dur: int | None = None,
@@ -392,20 +353,13 @@ class Simulation:
         service driver threads ``request.admit``/``request.done``
         instants into the event stream; ``name`` should come from
         :data:`repro.obs.EVENT_NAMES`."""
-        node = self._check_node(node)
-        if self._engine is not None and self._engine.started:
-            self._engine.emit(node, name, cycle, tid, dur, args)
-            return
-        self.chips[node].obs.emit(name, cycle, tid=tid, dur=dur, **args)
+        self._engine.emit(self._check_node(node), name, cycle, tid, dur, args)
 
     def counters_per_node(self) -> dict[int, dict]:
         """Each node's (unmerged) counter snapshot — on a started
         sharded machine pulled from the owning workers over RPC.  The
         time-series sampler reads this at every window boundary."""
-        if self._engine is not None and self._engine.started:
-            return self._engine.counters_per_node()
-        return {n: chip.counters.snapshot()
-                for n, chip in enumerate(self.chips)}
+        return self._engine.counters_per_node()
 
     # -- results and counters ---------------------------------------------
 
@@ -431,11 +385,10 @@ class Simulation:
         nodes, ``node<N>.*`` names stay per-node (see
         :func:`repro.machine.counters.merge_snapshots`).  On a started
         sharded machine the workers' files are merged over RPC."""
-        if self._engine is not None and self._engine.started:
-            return self._engine.counters_snapshot()
-        if self.machine is not None:
-            return self.machine.counters_snapshot()
-        return self.chip.counters.snapshot()
+        per_node = self._engine.counters_per_node()
+        if self.machine is None:
+            return per_node[0]
+        return merge_snapshots(per_node)
 
     def counter_table(self, title: str = "perf counters") -> str:
         """The counter snapshot rendered by the standard table
@@ -464,7 +417,7 @@ class Simulation:
             session.save_chrome("trace.json")   # ui.perfetto.dev
             print(session.text())               # greppable timeline
         """
-        if self._engine is not None:
+        if self._engine.workers > 1:
             raise SimulationError(
                 "tracing needs the lockstep engine: a session cannot "
                 "attach to chips living in worker processes (not even "
@@ -483,11 +436,7 @@ class Simulation:
         and cold events only, per-bundle path stays dark, superblock
         turbo stays engaged) — works on both engines; the request
         tracer builds on this.  Returns an object with ``drain()``."""
-        if self._engine is not None:
-            return self._engine.span_collector()
-        from repro.obs.requests import LockstepSpanCollector
-
-        return LockstepSpanCollector([chip.obs for chip in self.chips])
+        return self._engine.span_collector()
 
     def record_requests(self) -> "RequestTraceRecorder":
         """A request-scoped trace recorder for a service run: hand it
@@ -518,13 +467,8 @@ class Simulation:
         machines only; see
         :class:`repro.persist.migrate.MigrationService`).  ``pin``
         lists pointers whose segments stay home."""
-        machine = self._require_mesh("migrate")
-        if self._engine is not None and self._engine.started:
-            return self._engine.migrate(process, destination, pin)
-        from repro.persist.migrate import MigrationService
-
-        return MigrationService(machine).migrate(
-            process, destination=destination, pin=pin)
+        self._require_mesh("migrate")
+        return self._engine.migrate(process, destination, pin)
 
     # -- persistence (repro.persist) ---------------------------------------
 
@@ -535,23 +479,19 @@ class Simulation:
         to the barrier first (the clock may advance by up to one
         window), then syncs every shard back; the image is
         engine-neutral and restores onto either engine."""
-        if self._engine is not None and self._engine.started:
-            return self._engine.capture_state()
         if self.machine is not None:
-            return self.machine.capture_state()
+            return self._engine.capture_state()
         from repro.persist.image import capture_simulation
 
         return capture_simulation(self)
 
     def restore_state(self, state: dict) -> None:
         """Overwrite this machine's state with a captured image (the
-        machine must have the image's shape)."""
-        if self._engine is not None and self._engine.started:
-            raise SimulationError(
-                "cannot restore into running workers; build a fresh "
-                "Simulation from the image instead")
+        machine must have the image's shape).  A sharded machine
+        re-ships the image to its workers."""
+        self._guard_sharded("restore_state")
         if self.machine is not None:
-            self.machine.restore_state(state)
+            self._engine.restore_state(state)
             return
         from repro.persist.image import restore_node
         from repro.persist.snapshot import SnapshotError
@@ -569,14 +509,10 @@ class Simulation:
         sharded machine drains to its window barrier first; the image
         is engine-neutral, so a parallel-captured file restores into a
         lockstep simulation bit-identically (and vice versa)."""
-        if self._engine is not None and self._engine.started:
+        if self.machine is not None:
             from repro.persist.snapshot import write_snapshot
 
             return write_snapshot(self._engine.capture_state(), path)
-        if self.machine is not None:
-            from repro.persist.image import save_multicomputer
-
-            return save_multicomputer(self.machine, path)
         from repro.persist.image import save_simulation
 
         return save_simulation(self, path)

@@ -1,7 +1,7 @@
 """The sharded mesh engine: ``workers=N`` must be unobservable.
 
 Every test here runs the same workload under the lockstep engine and
-under :class:`~repro.machine.parallel.ParallelMulticomputer` and
+under the sharded :class:`~repro.machine.parallel.WindowEngine` and
 compares bit-for-bit — cycle counts, counters, memory images, full
 snapshot digests.  One asymmetry needs care: ``capture_state`` resets
 the functional memos on the live machine (the documented carve-out in

@@ -3,6 +3,8 @@ parity guarantee that attaching them never changes machine state."""
 
 import json
 
+import pytest
+
 from repro.machine.chip import RunReason
 from repro.obs import (CHIP_TRACK, TraceEvent, to_chrome_trace,
                        to_text_timeline)
@@ -123,3 +125,41 @@ class TestTracingParity:
     def test_disabled_hub_cycles_are_bit_identical(self):
         assert self.run_cycles(trace=False, enabled=False) == \
             self.run_cycles(trace=False)
+
+
+class TestTracingKnobParity:
+    """Attaching a trace session must never change cycle counts — under
+    every combination of the decode-cache and data-fast-path knobs."""
+
+    WORKLOAD = """
+        movi r2, 6
+    loop:
+        ld r3, r1, 0
+        st r3, r1, 8
+        subi r2, r2, 1
+        bne r2, loop
+        halt
+    """
+
+    def run_workload(self, decode_cache, data_fast_path, traced):
+        sim = Simulation(memory_bytes=2 * 1024 * 1024,
+                         decode_cache=decode_cache,
+                         data_fast_path=data_fast_path)
+        data = sim.allocate(4096)
+        sim.spawn(self.WORKLOAD, regs={1: data.word}, stack_bytes=0)
+        if not traced:
+            return sim.run().cycles
+        with sim.trace() as session:
+            result = sim.run()
+        assert session.events  # the traced run actually recorded
+        return result.cycles
+
+    @pytest.mark.parametrize("decode_cache", [True, False])
+    @pytest.mark.parametrize("data_fast_path", [True, False])
+    def test_traced_and_untraced_cycles_identical(self, decode_cache,
+                                                  data_fast_path):
+        untraced = self.run_workload(decode_cache, data_fast_path,
+                                     traced=False)
+        traced = self.run_workload(decode_cache, data_fast_path,
+                                   traced=True)
+        assert traced == untraced
