@@ -21,13 +21,19 @@ Runs a multithreaded load/store workload under five configurations:
 
 All of them must agree on the simulated cycle count exactly — emission
 and sampling never touch machine state.  The acceptance check is that
-``default`` and ``requests`` are within noise of ``disabled``;
-``tools/run_benchmarks.py`` records the numbers into ``BENCH_pr10.json``
-and CI runs the quick variant.
+``default`` and ``requests`` are within noise of ``disabled``.  One
+sample of a ~1 s run is at the mercy of host noise, so the three gated
+configurations run in :data:`ROUNDS` interleaved rounds in the same
+process, and the gate reads the median of the per-round ratios (each
+round's ``default``/``requests`` wall over the same round's
+``disabled``); reported wall times are per-configuration medians.
+``tools/run_benchmarks.py`` records the numbers and CI runs the
+pytest smoke.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
 from repro.machine.chip import RunReason
@@ -55,6 +61,12 @@ done:
 #: no-sampler baseline the timeseries config is priced against
 CONFIGS = ("disabled", "default", "requests", "chunked", "timeseries",
            "traced")
+
+#: the configurations the overhead gate compares, and how many
+#: interleaved rounds of them each measurement runs (the others run
+#: once, in the first round)
+GATED = ("disabled", "default", "requests")
+ROUNDS = 5
 
 #: per-call cycle budget for the chunked configurations (the sampler
 #: polls at each chunk boundary, like the service driver's drain loop)
@@ -101,25 +113,33 @@ def _run(config: str, iterations: int) -> tuple[int, float, int]:
 
 
 def measure(iterations: int = ITERATIONS) -> dict:
-    """Time the workload under every configuration; cycle counts must
-    be bit-identical across them."""
+    """Time the workload under every configuration — the gated ones in
+    :data:`ROUNDS` interleaved rounds; cycle counts must be bit-identical
+    across every run."""
     out: dict = {"workload": f"{THREADS} threads x {iterations} "
                              f"load/store iterations"}
     cycles_seen = set()
+    walls: dict[str, list[float]] = {config: [] for config in CONFIGS}
+    for round_ in range(ROUNDS):
+        for config in CONFIGS if round_ == 0 else GATED:
+            cycles, wall, events = _run(config, iterations)
+            cycles_seen.add(cycles)
+            walls[config].append(wall)
+            out[f"{config}_cycles"] = cycles
+            if config == "traced":
+                out["traced_events"] = events
     for config in CONFIGS:
-        cycles, wall, events = _run(config, iterations)
-        cycles_seen.add(cycles)
-        out[f"{config}_cycles"] = cycles
+        wall = statistics.median(walls[config])
         out[f"{config}_wall_s"] = wall
-        out[f"{config}_cycles_per_s"] = cycles / wall
-        if config == "traced":
-            out["traced_events"] = events
+        out[f"{config}_cycles_per_s"] = out[f"{config}_cycles"] / wall
     out["cycles_equal"] = len(cycles_seen) == 1
-    # wall-clock cost of the always-on layer relative to the dead floor
-    out["default_overhead"] = (out["default_wall_s"]
-                               / out["disabled_wall_s"]) - 1.0
-    out["requests_overhead"] = (out["requests_wall_s"]
-                                / out["disabled_wall_s"]) - 1.0
+    # wall-clock cost of the always-on layer relative to the dead floor:
+    # the median of the per-round ratios, so one noisy run cannot fail
+    # the gate
+    for config in ("default", "requests"):
+        out[f"{config}_overhead"] = statistics.median(
+            on / off for on, off in zip(walls[config],
+                                        walls["disabled"])) - 1.0
     # the sampler against the matching chunked baseline, so the
     # chunked run loop itself is not billed to the sampler
     out["timeseries_overhead"] = (out["timeseries_wall_s"]
@@ -146,8 +166,8 @@ def test_trace_overhead(benchmark):
     ]))
     assert r["cycles_equal"], "tracing changed the timing model"
     # the always-on layer and the span-only request path must stay
-    # within noise of fully-disabled; 25% headroom keeps slow shared
-    # CI machines from flaking
+    # within noise of fully-disabled (median of the per-round ratios);
+    # 25% headroom keeps slow shared CI machines from flaking
     assert r["default_overhead"] < 0.25, \
         f"always-on tracing costs {r['default_overhead']:+.1%}"
     assert r["requests_overhead"] < 0.25, \

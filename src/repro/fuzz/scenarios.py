@@ -2,8 +2,8 @@
 
 Every scenario runs the same case under pairs of fast-path settings —
 ``decode_cache`` on/off, ``data_fast_path`` (the access-check and
-translation-line memos) on/off, and ``superblock`` (compiled-node
-issue and bulk superblock dispatch) on/off — and each pair must
+translation-line memos) on/off, and ``superblock`` (bulk dispatch of
+the compiled nodes, against per-cycle issue) on/off — and each pair must
 produce *identical* digests: thread state, register files, fault
 sequence, memory image and cycle count (all the knobs are documented
 as timing-transparent, so even ``now`` must match).  The scenarios
@@ -337,8 +337,8 @@ def _run_remote_store(case: FuzzCase, decode_cache: bool,
     """Two mesh nodes; node 1 patches node 0's code through the network
     mid-run, flipping a ``movi`` immediate the loop keeps executing.
     Superblocks run inside each node's share of a lookahead window, so
-    on this scenario the superblock axis compares two different
-    executors across a cross-node code patch."""
+    on this scenario the superblock axis compares bulk against
+    per-cycle dispatch across a cross-node code patch."""
     mc = Multicomputer(MeshShape(2, 1, 1),
                        chip_config=ChipConfig(memory_bytes=2 * 1024 * 1024,
                                               decode_cache=decode_cache,
@@ -456,11 +456,12 @@ def diff_fast_path_axes(case: FuzzCase) -> Divergence | None:
 
 
 def diff_superblock_axes(case: FuzzCase) -> Divergence | None:
-    """Run ``case`` with compiled-node issue and superblock turbo
-    execution on and off (decode cache and data fast path on in both);
-    None means identical digests — the compiled nodes changed neither a
-    single architectural word nor a single cycle nor a single
-    counter-visible event."""
+    """Run ``case`` with superblock turbo execution on and off —
+    compiled nodes dispatched in bulk against the same nodes issued per
+    cycle (decode cache and data fast path on in both); None means
+    identical digests — bulk dispatch changed neither a single
+    architectural word nor a single cycle nor a single counter-visible
+    event."""
     return _diff_knob(
         case, "superblock-on-vs-off", "superblock",
         lambda enabled: run_scenario(case, True, superblock=enabled))

@@ -83,8 +83,10 @@ class ChipConfig:
     tlb_walk_cycles: int = 20
     domain_switch_penalty: int = 0
     flush_on_domain_switch: bool = False
-    #: cache decoded bundles by fetch address (simulator speed knob;
-    #: no architectural effect — invalidation keeps it transparent)
+    #: cache decoded bundles, and their compiled nodes, by fetch
+    #: address (simulator speed knob; no architectural effect —
+    #: invalidation keeps it transparent).  Off, every issue fetches,
+    #: decodes and builds a fresh node that is used once.
     decode_cache: bool = True
     #: mirror of ``decode_cache`` for the data side: memoize load/store
     #: permission+bounds checks per pointer word in the execution units,
@@ -96,14 +98,15 @@ class ChipConfig:
     #: blocked on memory, instead of stepping them cycle by cycle
     #: (cycle counts and per-cluster idle accounting are preserved)
     idle_fast_forward: bool = True
-    #: issue every decoded bundle through its compiled node, and — the
-    #: busy-cycle twin of ``idle_fast_forward`` — when exactly one
-    #: thread is ready and nothing else on the chip can act, run its
-    #: nodes in one dispatch with bulk accounting (see PERF.md §6).
+    #: bulk dispatch, the busy-cycle twin of ``idle_fast_forward``:
+    #: when exactly one thread is ready and nothing else on the chip
+    #: can act, run its compiled nodes in one dispatch with bulk
+    #: accounting (see PERF.md §6).  Every bundle issues through its
+    #: node either way; off issues them one cycle at a time.
     #: Timing-model-transparent — cycle counts, counters and trace
-    #: events are identical on or off (off is the per-bundle executor);
-    #: the fuzzer's superblock-on-vs-off axis polices that continuously.
-    #: Requires ``decode_cache`` (nodes live in decode-cache entries).
+    #: events are identical on or off; the fuzzer's
+    #: superblock-on-vs-off axis polices that continuously.  Requires
+    #: ``decode_cache`` (a superblock runs cached nodes only).
     superblock: bool = True
     #: flight-recorder ring depth (events kept for crash dumps); purely
     #: observational — no architectural or timing effect
@@ -219,20 +222,16 @@ class MAPChip:
         # -- the decoded-bundle cache (see module docstring) ----------
         #: fetch address -> (decoded Bundle, pointer word that passed
         #: the fetch checks, compiled node or None until the bundle
-        #: first issues through one — see Cluster._compile_node);
+        #: first issues — see Cluster._compile_node);
         #: flushed on any unmap.  The node rides in the entry, so every
         #: invalidation that drops a decoded bundle drops its node.
         self._decode_cache: dict[int, tuple[Bundle, int, tuple | None]] = {}
         self._decode_enabled = c.decode_cache
-        #: issue decoded bundles through compiled nodes (PERF.md §6)
-        self._node_issue = c.superblock and c.decode_cache
-        #: node and superblock telemetry (plain attributes, deliberately
-        #: *not* PerfCounters: counter snapshots must be bit-identical
-        #: with the knob on or off, so engine-utilization introspection
-        #: lives outside the counter file).  ``node_bundles`` counts
-        #: bundles issued straight from a node, without a fetch() call;
-        #: ``superblock_bundles`` is the part of them issued in bulk.
-        self.node_bundles = 0
+        #: superblock telemetry (plain attributes, deliberately *not*
+        #: PerfCounters: counter snapshots must be bit-identical with
+        #: the knob on or off, so engine-utilization introspection
+        #: lives outside the counter file): superblocks entered and the
+        #: bundles they issued in bulk
         self.superblock_blocks = 0
         self.superblock_bundles = 0
         #: (pointer word, offset) -> derived pointer, shared by every
@@ -254,7 +253,7 @@ class MAPChip:
         self.fetch_hits = 0
         self.fetch_misses = 0
         self.decode_invalidations = 0
-        # -- the data-side access-check memos (see _exec_mem) ----------
+        # -- the data-side access-check memos (see Cluster._mem_address)
         #: (pointer word value, offset) -> checked virtual address, one
         #: memo per access kind (loads need READ, stores need WRITE).
         #: Like the LEA memo, entries are pure functions of the
@@ -609,7 +608,8 @@ class MAPChip:
         anywhere on the chip can act, every wake scan is a no-op, and
         the only cluster with work is the ready thread's.  Returns the
         cycles advanced (0 when the machine is not in an eligible
-        state; the caller then falls back to a normal :meth:`step`).
+        state, or the thread's next bundle is not decoded or is a TRAP;
+        the caller then falls back to a normal :meth:`step`).
         """
         now = self.now
         cluster = None
@@ -654,12 +654,12 @@ class MAPChip:
         start_bundles = self.stats.issued_bundles
         idle_streak = 0
         fast_forward = self.config.idle_fast_forward
-        # superblocks need the decode cache (nodes live in its
-        # entries).  On a mesh this run is one node's share of a
+        # superblocks need the decode cache (they run cached nodes
+        # only).  On a mesh this run is one node's share of a
         # lookahead window, inside which no cross-node state moves:
         # remote stores and invalidations land at the barrier, so the
         # single-ready-thread proof holds there too
-        turbo = self._node_issue
+        turbo = self.config.superblock and self._decode_enabled
         while self.now - start_cycle < max_cycles:
             if self._runnable_count == 0:
                 return RunResult(self.now - start_cycle,

@@ -16,6 +16,14 @@ operation in it passes its checks, so a faulted bundle can simply be
 re-executed after the kernel repairs the cause.  Operations are
 evaluated int → fp → mem, with the memory access — the only operation
 with a side effect beyond registers — performed last.
+
+Every bundle issues through its *compiled node* (``docs/PERF.md`` §6):
+one closure per live op, built once per decoded bundle from the op
+table :attr:`Cluster.NODE_BUILDERS` (slot → opcode → builder) and kept
+in the bundle's decode-cache entry.  That table is the only definition
+of op semantics the chip executes.  :meth:`Cluster._run_nodes` is the
+only issue body: the per-cycle path calls it for one cycle, superblock
+turbo for a whole straight-line stretch.
 """
 
 from __future__ import annotations
@@ -24,8 +32,8 @@ import math
 from typing import TYPE_CHECKING
 
 from repro.core import operations as ops
-from repro.core.constants import ADDRESS_MASK as _SB_ADDRESS_MASK
-from repro.core.constants import WORD_MASK as _SB_WORD_MASK
+from repro.core.constants import ADDRESS_MASK as _ADDRESS_MASK
+from repro.core.constants import WORD_MASK as _WORD_MASK
 from repro.core.exceptions import (
     FetchPending,
     GuardedPointerFault,
@@ -37,7 +45,7 @@ from repro.core.pointer import GuardedPointer
 from repro.core.word import TaggedWord, to_s64
 from repro.machine.disasm import disassemble_bundle
 from repro.machine.faults import FaultRecord, TrapFault
-from repro.machine.isa import BUNDLE_BYTES, Bundle, Opcode, Operation
+from repro.machine.isa import BUNDLE_BYTES, Bundle, Opcode, Operation, Slot
 from repro.machine.registers import float_to_word, saturating_ftoi, word_to_float
 from repro.machine.thread import REMOTE_WAIT, Thread, ThreadState
 
@@ -265,22 +273,13 @@ class Cluster:
             return False
         self.last_domain = thread.domain
 
-        chip = self.chip
-        obs = chip.obs
+        obs = self.chip.obs
         if obs.hot and thread.tid != self._last_tid:
             obs.emit("thread.switch", now, cluster=self.cluster_id,
                      tid=thread.tid, from_tid=self._last_tid)
         self._last_tid = thread.tid
 
-        # a decoded bundle issues through its compiled node, the body
-        # superblocks run too (hot tracing wants the per-bundle
-        # executor's ``bundle`` event, so it skips the nodes)
-        if (chip._node_issue and not obs.hot
-                and self._run_nodes(thread, now, now + 1)):
-            chip.node_bundles += 1
-            self.issued_cycles += 1
-            return True
-        if self._execute_bundle(thread, now):
+        if self._run_nodes(thread, now, now + 1):
             self.issued_cycles += 1
             return True
         # the fetch is waiting on remote code words (FetchPending):
@@ -298,7 +297,7 @@ class Cluster:
                 return thread
         return None
 
-    # -- bundle execution ----------------------------------------------------
+    # -- pointer derivation and address checks --------------------------------
 
     def _lea(self, word: TaggedWord, offset: int):
         """LEA through the chip's derivation memo.
@@ -322,400 +321,120 @@ class Cluster:
             cache[key] = ptr
         return ptr
 
-    def _execute_bundle(self, thread: Thread, now: int) -> bool:
-        """Execute one bundle; returns True when the bundle issued (a
-        faulting bundle issues too), False when the fetch is stalled on
-        remote code words and nothing happened this cycle."""
-        try:
-            bundle = self.chip.fetch(thread.ip)
-        except FetchPending as pend:
-            # remote code words were requested at the window barrier;
-            # the thread blocks until they land and the fetch retries
-            thread.block_until(pend.resume_at)
-            return False
-        except Exception as cause:  # decode/translation failure at fetch
-            self._fault(thread, cause, "fetch", now)
-            return True
+    def _mem_address(self, word: TaggedWord, offset: int, *, write: bool) -> int:
+        """The checked virtual address of a load/store, through the
+        chip's access-check memo.
 
-        obs = self.chip.obs
-        if obs.hot:
-            obs.emit("bundle", now, cluster=self.cluster_id, tid=thread.tid,
-                     address=thread.ip.address, priv=thread.privileged,
-                     text=disassemble_bundle(bundle))
-
-        commits: list[tuple[str, int, object]] = []
-        branch_target: GuardedPointer | None = None
-        halted = False
-        block_until: int | None = None
-        pending: list[tuple[str, int, object]] = []
-
-        try:
-            target = self._exec_int(thread, bundle.int_op, commits, now)
-            if target is _Halt:
-                halted = True
-            elif target is not None:
-                branch_target = target
-            self._exec_fp(thread, bundle.fp_op, commits)
-            block_until, pending = self._exec_mem(thread, bundle.mem_op, commits, now)
-        except GuardedPointerFault as cause:
-            self._fault(thread, cause, self._fault_site(bundle, cause), now)
-            return True
-
-        # Commit phase: nothing above faulted.
-        thread.regs.land(commits)
-
-        thread.stats.bundles += 1
-        thread.stats.operations += bundle.live_ops
-
-        if halted:
-            # a halting bundle still commits everything it did — a
-            # blocking load sharing the bundle with HALT must land its
-            # register write before the thread's state goes final
-            thread.regs.land(pending)
-            thread.state = ThreadState.HALTED
-            thread.halted_at = now
-            if obs.enabled:
-                obs.emit("thread.halt", now, cluster=self.cluster_id,
-                         tid=thread.tid, bundles=thread.stats.bundles)
-            return True
-
-        try:
-            if branch_target is not None:
-                thread.ip = branch_target
-            else:
-                thread.ip = self._lea(thread.ip.word, BUNDLE_BYTES)
-        except GuardedPointerFault as cause:
-            # running off the end of the code segment
-            self._fault(thread, cause, "ip-advance", now)
-            return True
-
-        if block_until == REMOTE_WAIT:
-            # remote load: the true reply cycle is computed at the next
-            # window barrier, which rewrites wake_at and charges the
-            # stall; the register write arrives the same way
-            thread.pending_writes.extend(pending)
-            thread.block_until(REMOTE_WAIT)
-        elif block_until is not None and block_until > now + 1:
-            thread.pending_writes.extend(pending)
-            thread.stats.stall_cycles += block_until - (now + 1)
-            thread.block_until(block_until)
-        else:
-            thread.regs.land(pending)
-        return True
-
-    # -- compiled-node execution ---------------------------------------------
-
-    def _compile_node(self, address: int, entry: tuple, ip: "GuardedPointer"):
-        """Build (or refuse) the compiled node for the decoded bundle
-        ``entry`` at ``address``, fetched through pointer ``ip``, and
-        store it in that decode-cache entry.
-
-        A node is a pre-picked execution plan for one decoded bundle:
-        NOP slots resolved to ``None`` (the units early-out on fillers
-        with zero side effects, so skipping the call is behaviorally
-        identical), each live op compiled to a closure, plus the
-        memoized fall-through IP.  Only TRAP bundles refuse a node:
-        trap dispatch stays with the per-bundle executor.  The node
-        sits in the decode-cache entry beside the pointer word it was
-        built through, so every invalidation that drops a decoded
-        bundle drops its node with it, and a different pointer to the
-        same address — which re-validates through
-        :meth:`MAPChip.fetch` — gets a node of its own.  Nodes are
-        chip-wide (a bundle may issue on any cluster), so closures bind
-        only chip-level state; the issuing cluster is
-        ``thread.scheduler``.
+        The whole derivation — LEA bounds, tag check, READ/WRITE
+        permission — is a pure function of (pointer bits, offset): none
+        of it consults the page table or memory.  So once a (word,
+        offset) pair has passed, a later access through the *same*
+        pointer word is a single dictionary probe; that is the paper's
+        thesis applied to the data path (checks resolve once, nothing
+        downstream re-walks).  A different pointer word — even to the
+        same address — takes the full check path.  Faulting derivations
+        are never cached, and untagged words bypass the memo (a pointer
+        and an integer can share a bit pattern).
         """
-        bundle, word = entry[0], entry[1]
-        int_op = bundle.int_op
-        code = int_op.opcode
-        if code is Opcode.NOP:
-            int_fn = None
-        elif code is Opcode.TRAP:
-            return None
-        else:
-            int_fn = self._sb_compile_int(int_op, ip)
-        fp_op = bundle.fp_op
-        if fp_op.opcode is Opcode.FNOP or fp_op.opcode is Opcode.NOP:
-            fp_op = None
-        mem_op = bundle.mem_op
-        if mem_op.opcode is Opcode.NOP or mem_op.opcode is Opcode.FNOP:
-            mem_fn = None
-        else:
-            mem_fn = self._sb_compile_mem(mem_op)
-        try:
-            next_ip = self._lea(ip.word, BUNDLE_BYTES)
-        except GuardedPointerFault:
-            # fall-through runs off the code segment; the node
-            # re-derives live so the fault raises exactly as stepping
-            next_ip = None
-        node = (bundle, int_fn, fp_op, mem_fn, next_ip, bundle.live_ops)
-        self.chip._decode_cache[address] = (bundle, word, node)
-        return node
-
-    def _sb_compile_int(self, op: Operation, ip: "GuardedPointer"):
-        """Compile an integer-slot op into a node closure.
-
-        The trace-cache idiom: everything that is a pure function of
-        the operation encoding and the bundle's (fixed) fetch pointer —
-        ALU immediates, branch targets, MOVI's word, GETIP's result —
-        resolves once at node-build time, so executing the node spends
-        no cycles re-deciding what the op *is*.  Derived pointers come
-        through the same LEA memo the per-bundle executor uses (pure,
-        so pre-deriving is invisible); a derivation that faults falls
-        back to the unit so the fault raises only when the op actually
-        needs the pointer, exactly as stepping.  JMP resolves its
-        target check through the chip's jump memo and still runs the
-        jump auditor and the enter-call tracker on every execution.
-        HALT returns the halt sentinel; :meth:`_run_nodes` finishes
-        the thread.
-        """
-        code = op.opcode
-        # the hot ALU closures build TaggedWords the way the frozen
-        # dataclass's own __init__ does (object.__setattr__), skipping
-        # three Python calls per op; ``.untagged().value`` collapses to
-        # ``.value`` (untagging never changes the bits)
-        new = TaggedWord.__new__
-        setattr_ = object.__setattr__
-        if code in _INT_ALU_IMM:
-            fn = _INT_ALU[_INT_ALU_IMM[code]]
-            b = op.imm & _SB_WORD_MASK
-            ra, rd = op.ra, op.rd
-
-            def run(thread, regs, commits, now):
-                word = new(TaggedWord)
-                setattr_(word, "value",
-                         fn(regs.read(ra).value, b) & _SB_WORD_MASK)
-                setattr_(word, "tag", False)
-                commits.append(("r", rd, word))
-                return None
-            return run
-        if code in _INT_ALU:
-            fn = _INT_ALU[code]
-            ra, rb, rd = op.ra, op.rb, op.rd
-
-            def run(thread, regs, commits, now):
-                word = new(TaggedWord)
-                setattr_(word, "value",
-                         fn(regs.read(ra).value,
-                            regs.read(rb).value) & _SB_WORD_MASK)
-                setattr_(word, "tag", False)
-                commits.append(("r", rd, word))
-                return None
-            return run
-        if code is Opcode.MOVI:
-            word = TaggedWord.integer(op.imm)
-            rd = op.rd
-
-            def run(thread, regs, commits, now):
-                commits.append(("r", rd, word))
-                return None
-            return run
-        if code is Opcode.MOV:
-            ra, rd = op.ra, op.rd
-
-            def run(thread, regs, commits, now):
-                commits.append(("r", rd, regs.read(ra)))
-                return None
-            return run
-        if code is Opcode.HALT:
-            return _halt
-        if code is Opcode.JMP:
-            return self._sb_compile_jmp(op)
-        if code is Opcode.GETIP:
-            target = self._sb_branch_target(ip, op.imm)
-            if target is not None:
-                result = target.word
-                rd = op.rd
-
-                def run(thread, regs, commits, now):
-                    commits.append(("r", rd, result))
-                    return None
-                return run
-        elif code is Opcode.BEQ or code is Opcode.BNE:
-            target = self._sb_branch_target(ip, op.imm)
-            if target is not None:
-                rd = op.rd
-                want_zero = code is Opcode.BEQ
-
-                def run(thread, regs, commits, now):
-                    value = regs.read(rd).value
-                    taken = (value == 0) if want_zero else (value != 0)
-                    return target if taken else None
-                return run
-        elif code is Opcode.BR:
-            target = self._sb_branch_target(ip, op.imm)
-            if target is not None:
-                def run(thread, regs, commits, now):
-                    return target
-                return run
-        exec_int = self._exec_int
-
-        def run(thread, regs, commits, now):
-            return exec_int(thread, op, commits, now)
-        return run
-
-    def _sb_compile_jmp(self, op: Operation):
-        """JMP's node closure.  ``check_jump`` is a pure function of
-        the tagged target word (enter→execute conversion included), so
-        a passed check is memoized chip-wide together with the target's
-        decoded permission; faulting targets are never cached and
-        untagged words always take the full check.  The jump auditor
-        and the enter-call tracker still see every jump."""
         chip = self.chip
-        memo = chip._jump_memo
-        obs = chip.obs
-        check_jump = ops.check_jump
-        from_word = GuardedPointer.from_word
-        ra = op.ra
+        memo = chip._store_check_memo if write else chip._load_check_memo
+        if memo is None or not word.tag:
+            ptr = self._lea(word, offset)
+            (ops.check_store if write else ops.check_load)(ptr.word)
+            return ptr.address
+        key = (word.value, offset)
+        vaddr = memo.get(key)
+        if vaddr is not None:
+            chip.check_memo_hits += 1
+            return vaddr
+        ptr = self._lea(word, offset)
+        (ops.check_store if write else ops.check_load)(ptr.word)
+        chip.check_memo_misses += 1
+        memo[key] = ptr.address
+        return ptr.address
 
-        def run(thread, regs, commits, now):
-            target = regs.read(ra)
-            hit = (memo.get(target.value)
-                   if memo is not None and target.tag else None)
-            if hit is None:
-                new_ip = check_jump(target, thread.privileged)
-                perm = from_word(target).permission
-                if memo is not None:
-                    memo[target.value] = (new_ip, perm)
-            else:
-                new_ip, perm = hit
-            auditor = chip.jump_auditor
-            if auditor is not None:
-                auditor(thread, from_word(target), new_ip, now)
-            if obs.enabled:
-                obs.note_jump(thread, target, new_ip, now,
-                              cluster=thread.scheduler.cluster_id,
-                              target_perm=perm)
-            return new_ip
-        return run
+    # -- the issue body ----------------------------------------------------------
 
-    def _sb_branch_target(self, ip: "GuardedPointer", imm: int):
-        """Pre-derive an IP-relative pointer (branch target, GETIP
-        result) at node-build time, or None when the derivation faults
-        (then the op falls back to the unit, so the fault raises only
-        when the op needs the pointer, as stepping would)."""
-        try:
-            return self._lea(ip.word, imm)
-        except GuardedPointerFault:
-            return None
-
-    def _sb_compile_mem(self, op: Operation):
-        """Compile a memory-slot op into a node closure returning
-        ``(block_until, pending_writes)`` — :meth:`_exec_mem`'s
-        contract with its opcode dispatch pre-resolved.
-
-        Loads and stores keep the exact per-execution path — the
-        access-check memo, :meth:`MAPChip.access_memory` (the store's
-        decoded-bundle invalidation, the banked cache's timing, the
-        mesh route for remote addresses), the load-to-use histogram.  A
-        remote load binds its destination register and returns the
-        ``REMOTE_WAIT`` sentinel exactly as the memory unit does.  LEA
-        and LEAR derive through the LEA memo.  Everything else falls
-        back to the memory unit.
-        """
-        code = op.opcode
-        chip = self.chip
-        ra, rb, rd, imm = op.ra, op.rb, op.rd, op.imm
-        if code is Opcode.LD or code is Opcode.LDF:
-            mem_address = self._mem_address
-            access = chip.access_memory
-            obs = chip.obs
-            load_to_use = obs.load_to_use.add
-            is_ld = code is Opcode.LD
-            bank = "r" if is_ld else "f"
-
-            def run(thread, regs, commits, now):
-                vaddr = mem_address(regs.read(ra), imm, write=False)
-                result = access(vaddr, write=False, now=now)
-                ready = result.ready_cycle
-                if ready == REMOTE_WAIT:
-                    chip.router.bind_remote_load(chip, thread.tid, bank, rd)
-                    return REMOTE_WAIT, ()
-                if obs.enabled:
-                    load_to_use(ready - now)
-                if is_ld:
-                    write = ("r", rd, result.word)
-                else:
-                    write = ("f", rd, word_to_float(result.word))
-                return ready, (write,)
-            return run
-        if code is Opcode.ST or code is Opcode.STF:
-            mem_address = self._mem_address
-            access = chip.access_memory
-            is_st = code is Opcode.ST
-
-            def run(thread, regs, commits, now):
-                vaddr = mem_address(regs.read(ra), imm, write=True)
-                if is_st:
-                    value = regs.read(rd)
-                else:
-                    value = float_to_word(regs.read_f(rd))
-                access(vaddr, write=True, now=now, value=value)
-                return _NO_BLOCK
-            return run
-        if code is Opcode.LEA:
-            lea = self._lea
-
-            def run(thread, regs, commits, now):
-                commits.append(("r", rd, lea(regs.read(ra), imm).word))
-                return _NO_BLOCK
-            return run
-        if code is Opcode.LEAR:
-            lea = self._lea
-
-            def run(thread, regs, commits, now):
-                offset = to_s64(regs.read(rb).value)
-                commits.append(("r", rd, lea(regs.read(ra), offset).word))
-                return _NO_BLOCK
-            return run
-        exec_mem = self._exec_mem
-
-        def run(thread, regs, commits, now):
-            return exec_mem(thread, op, commits, now)
-        return run
-
-    def _run_nodes(self, thread: Thread, start: int, end: int) -> int:
+    def _run_nodes(self, thread: Thread, start: int, end: int,
+                   bulk: bool = False) -> int:
         """Issue ``thread``'s bundles through their compiled nodes for
-        cycles ``[start, end)``; returns the cycles consumed (0 when the
-        first bundle has no node).  The one node-running body: the
-        per-cycle path calls it for a single cycle, superblocks for a
-        whole stretch.
+        cycles ``[start, end)``; returns the cycles consumed.  The one
+        issue body: the per-cycle path calls it for a single cycle,
+        superblocks (``bulk``) for a whole stretch.
 
-        It charges exactly what the per-bundle executor charges for the
-        same bundles — the fetch hit, the register commit, the IP
-        advance, the blocking-load scoreboard (a local stall or a remote
-        wait), HALT's final state and event, and the fault site — so
-        nodes are invisible to cycles, counters and trace events.  The
-        per-bundle totals (fetch hits, the thread's bundle and op
+        A bundle's node sits in its decode-cache entry.  When the probe
+        misses on a call's first bundle (not decoded yet, or a new
+        pointer word to the address), the bundle goes through
+        :meth:`MAPChip.fetch` — checks, translation, decode — and its
+        node is built from the result: stored in the entry, or used
+        once when the decode cache is off.  A fetch waiting on remote
+        code words (``FetchPending``) blocks the thread and issues
+        nothing (returns 0); any other fetch error faults at site
+        ``"fetch"``.  A miss later in a stretch ends it, because
+        ``chip.now`` is current only at a call's first bundle.  Bulk
+        calls never fetch, and a TRAP ends a bulk stretch before it
+        (the trap committed nothing): a trap handler may ready threads
+        on clusters that step later in the same cycle, so trap
+        dispatch runs per cycle.
+
+        Per bundle it charges the fetch hit, the register commit, the
+        IP advance, the blocking-load scoreboard (a local stall or a
+        remote wait), HALT's final state and event, and the fault site.
+        The per-bundle totals (fetch hits, the thread's bundle and op
         counts) are settled on exit, before the fault handler or the
         halt event can observe them.  It stops after the cycle in which
-        the thread faults, halts or blocks, and before a bundle the
-        decode cache cannot answer (not decoded yet, self-modified,
-        TRAP), which the per-bundle executor then handles.
+        the thread faults, halts or blocks.  While a hot sink listens
+        (``obs.hot``; superblocks are off then) each bundle emits its
+        ``bundle`` event before it runs.
         """
         chip = self.chip
         cache = chip._decode_cache
+        obs = chip.obs
+        hot = obs.hot
         regs = thread.regs
         stats = thread.stats
         commits = self._commits
         bundles = 0   # committed bundles (a faulting one commits nothing)
         ops = 0
+        fetched = 0   # 1 when the first bundle came through chip.fetch
         fault = None
         halted = False
         now = start
         while now < end:
             ip = thread.ip
             word = ip.word.value
-            address = word & _SB_ADDRESS_MASK
+            address = word & _ADDRESS_MASK
             entry = cache.get(address)
-            if entry is None or entry[1] != word:
-                break
-            node = entry[2]
-            if node is None:
-                node = self._compile_node(address, entry, ip)
+            if entry is not None and entry[1] == word:
+                node = entry[2]
                 if node is None:
+                    node = self._compile_node(entry[0], ip)
+                    cache[address] = (entry[0], word, node)
+            elif bulk or now != start:
+                break
+            else:
+                fetched = 1
+                try:
+                    bundle = chip.fetch(ip)
+                except FetchPending as pend:
+                    # remote code words were requested at the window
+                    # barrier; the thread blocks until they land and
+                    # the fetch retries
+                    thread.block_until(pend.resume_at)
+                    return 0
+                except Exception as cause:  # decode/translation failure
+                    fault = (cause, "fetch")
+                    now += 1
                     break
-            bundle, int_fn, fp_op, mem_fn, next_ip, live = node
+                node = self._compile_node(bundle, ip)
+                if chip._decode_enabled:
+                    cache[address] = (bundle, word, node)
+            bundle, int_fn, fp_fn, mem_fn, next_ip, live = node
+            if hot:
+                obs.emit("bundle", now, cluster=self.cluster_id,
+                         tid=thread.tid, address=ip.address,
+                         priv=thread.privileged,
+                         text=disassemble_bundle(bundle))
             commits.clear()
             branch_target = None
             block_until = None
@@ -723,14 +442,16 @@ class Cluster:
             try:
                 if int_fn is not None:
                     branch_target = int_fn(thread, regs, commits, now)
-                if fp_op is not None:
-                    self._exec_fp(thread, fp_op, commits)
+                if fp_fn is not None:
+                    fp_fn(thread, regs, commits, now)
                 if mem_fn is not None:
                     block_until, pending = mem_fn(thread, regs, commits, now)
             except GuardedPointerFault as cause:
+                if bulk and isinstance(cause, TrapFault):
+                    break
                 # the faulting cycle still elapses and the bundle still
                 # issues (fetch hit, then the unit faulted), but it
-                # commits nothing, exactly like the per-bundle executor
+                # commits nothing
                 fault = (cause, self._fault_site(bundle, cause))
                 now += 1
                 break
@@ -770,7 +491,8 @@ class Cluster:
                 regs.land(pending)
         issued = now - start
         if issued:
-            chip.fetch_hits += issued
+            # chip.fetch counted its own hit or miss
+            chip.fetch_hits += issued - fetched
             stats.bundles += bundles
             stats.operations += ops
             if fault is not None:
@@ -779,7 +501,6 @@ class Cluster:
             elif halted:
                 thread.state = ThreadState.HALTED
                 thread.halted_at = now - 1
-                obs = chip.obs
                 if obs.enabled:
                     obs.emit("thread.halt", now - 1, cluster=self.cluster_id,
                              tid=thread.tid, bundles=stats.bundles)
@@ -798,7 +519,7 @@ class Cluster:
         body the per-cycle path uses, so cycle counts, counters and
         trace events are bit-identical to the knob being off.
         """
-        issued = self._run_nodes(thread, start, end)
+        issued = self._run_nodes(thread, start, end, bulk=True)
         if issued:
             self._sb_exit(thread, start, start + issued)
         return issued
@@ -817,7 +538,6 @@ class Cluster:
         chip.stats.issued_bundles += n
         chip.superblock_blocks += 1
         chip.superblock_bundles += n
-        chip.node_bundles += n
         self.issued_cycles += n
         # scheduling bookkeeping a per-cycle run would have left behind
         self._next_slot = (self.slots.index(thread) + 1) % len(self.slots)
@@ -827,187 +547,389 @@ class Cluster:
             if cl is not self:
                 cl.idle_cycles += n
 
-    # -- the integer unit ------------------------------------------------------
+    # -- the op table: one node builder per opcode and slot ------------------
 
-    def _exec_int(self, thread: Thread, op: Operation, commits: list,
-                  now: int):
-        """Returns a branch-target pointer, the _Halt sentinel, or None."""
-        code = op.opcode
-        regs = thread.regs
-        if code is Opcode.NOP:
-            return None
-        if code is Opcode.HALT:
-            return _Halt
-        if code is Opcode.TRAP:
-            raise TrapFault(op.imm)
-        if code in _INT_ALU:
-            a = regs.read(op.ra).untagged().value
-            b = regs.read(op.rb).untagged().value
-            commits.append(("r", op.rd, TaggedWord.integer(_INT_ALU[code](a, b))))
-            return None
-        if code in _INT_ALU_IMM:
-            a = regs.read(op.ra).untagged().value
-            b = op.imm & ((1 << 64) - 1)
-            fn = _INT_ALU[_INT_ALU_IMM[code]]
-            commits.append(("r", op.rd, TaggedWord.integer(fn(a, b))))
-            return None
-        if code is Opcode.MOVI:
-            commits.append(("r", op.rd, TaggedWord.integer(op.imm)))
-            return None
-        if code is Opcode.MOV:
-            # MOV preserves the tag: copying a pointer yields the pointer.
-            commits.append(("r", op.rd, regs.read(op.ra)))
-            return None
-        if code is Opcode.ISPTR:
-            commits.append(("r", op.rd, ops.ispointer(regs.read(op.ra))))
-            return None
-        if code is Opcode.GETIP:
-            commits.append(("r", op.rd, self._lea(thread.ip.word, op.imm).word))
-            return None
-        if code is Opcode.BR:
-            return self._lea(thread.ip.word, op.imm)
-        if code in (Opcode.BEQ, Opcode.BNE):
-            value = regs.read(op.rd).untagged().value
-            taken = (value == 0) if code is Opcode.BEQ else (value != 0)
-            return self._lea(thread.ip.word, op.imm) if taken else None
-        if code is Opcode.JMP:
-            target_word = regs.read(op.ra)
-            new_ip = ops.check_jump(target_word, thread.privileged)
-            auditor = self.chip.jump_auditor
-            if auditor is not None:
-                auditor(thread, GuardedPointer.from_word(target_word),
-                        new_ip, now)
-            obs = self.chip.obs
-            if obs.enabled:
-                obs.note_jump(thread, target_word, new_ip, now,
-                              cluster=self.cluster_id)
-            return new_ip
-        raise AssertionError(f"unhandled integer op {code.name}")
+    def _compile_node(self, bundle: Bundle, ip: GuardedPointer) -> tuple:
+        """The compiled node of ``bundle``, fetched through ``ip``.
 
-    # -- the floating-point unit -------------------------------------------------
+        A node is a pre-picked execution plan for one decoded bundle:
+        each slot's op built into a closure by its slot's builder in
+        :attr:`NODE_BUILDERS` (``None`` for a filler, which the issue
+        body skips), the memoized fall-through IP, and the live-op
+        count.  Whatever is a pure function of the op encoding and the
+        bundle's (fixed) fetch pointer — ALU immediates, branch
+        targets, MOVI's word, GETIP's result — resolves here, once, so
+        issuing the node spends no cycles re-deciding what an op *is*.
+        The caller keeps the node in the bundle's decode-cache entry
+        beside the pointer word it was built through, so every
+        invalidation that drops a decoded bundle drops its node, and a
+        different pointer to the same address — which re-validates
+        through :meth:`MAPChip.fetch` — gets a node of its own.  Nodes
+        are chip-wide (a bundle may issue on any cluster), so closures
+        bind only chip-level state; the issuing cluster is
+        ``thread.scheduler``.
 
-    def _exec_fp(self, thread: Thread, op: Operation, commits: list) -> None:
-        code = op.opcode
-        regs = thread.regs
-        if code in (Opcode.FNOP, Opcode.NOP):
-            return
-        if code in _FP_ALU:
-            result = _FP_ALU[code](regs.read_f(op.ra), regs.read_f(op.rb))
-            commits.append(("f", op.rd, result))
-            return
-        if code is Opcode.FMOV:
-            commits.append(("f", op.rd, regs.read_f(op.ra)))
-            return
-        if code is Opcode.ITOF:
-            commits.append(("f", op.rd, float(regs.read(op.ra).as_signed())))
-            return
-        if code is Opcode.FTOI:
-            commits.append(("r", op.rd,
-                            TaggedWord.integer(saturating_ftoi(regs.read_f(op.ra)))))
-            return
-        raise AssertionError(f"unhandled fp op {code.name}")
-
-    # -- the memory unit ------------------------------------------------------
-
-    def _mem_address(self, word: TaggedWord, offset: int, *, write: bool) -> int:
-        """The checked virtual address of a load/store, through the
-        chip's access-check memo.
-
-        The whole derivation — LEA bounds, tag check, READ/WRITE
-        permission — is a pure function of (pointer bits, offset): none
-        of it consults the page table or memory.  So once a (word,
-        offset) pair has passed, a later access through the *same*
-        pointer word is a single dictionary probe; that is the paper's
-        thesis applied to the data path (checks resolve once, nothing
-        downstream re-walks).  A different pointer word — even to the
-        same address — takes the full check path.  Faulting derivations
-        are never cached, and untagged words bypass the memo (a pointer
-        and an integer can share a bit pattern).
+        Every closure takes ``(thread, regs, commits, now)`` and
+        appends its register writes to ``commits``.  The integer slot's
+        returns the branch target, the halt sentinel or None; the
+        memory slot's returns ``(block_until, pending_writes)``.
         """
+        table = self.NODE_BUILDERS
+        int_op, mem_op, fp_op = bundle.int_op, bundle.mem_op, bundle.fp_op
+        try:
+            next_ip = self._lea(ip.word, BUNDLE_BYTES)
+        except GuardedPointerFault:
+            # fall-through runs off the code segment; the issue body
+            # re-derives live so the fault raises exactly as stepping
+            next_ip = None
+        return (bundle,
+                table[Slot.INT][int_op.opcode](self, int_op, ip),
+                table[Slot.FP][fp_op.opcode](self, fp_op, ip),
+                table[Slot.MEM][mem_op.opcode](self, mem_op, ip),
+                next_ip, bundle.live_ops)
+
+    def _filler(self, op: Operation, ip: GuardedPointer):
+        """NOP and FNOP: no closure; the issue body skips the slot."""
+        return None
+
+    # the integer unit.  The ALU closures build TaggedWords the way the
+    # frozen dataclass's own __init__ does (object.__setattr__), skipping
+    # three Python calls per op.  Operands are read as ``.value``: an
+    # ALU op untags its inputs, and untagging never changes the bits
+
+    def _alu_node(self, op: Operation, ip: GuardedPointer):
+        fn = _INT_ALU[op.opcode]
+        ra, rb, rd = op.ra, op.rb, op.rd
+        new = TaggedWord.__new__
+        setattr_ = object.__setattr__
+
+        def run(thread, regs, commits, now):
+            word = new(TaggedWord)
+            setattr_(word, "value",
+                     fn(regs.read(ra).value, regs.read(rb).value) & _WORD_MASK)
+            setattr_(word, "tag", False)
+            commits.append(("r", rd, word))
+            return None
+        return run
+
+    def _alu_imm_node(self, op: Operation, ip: GuardedPointer):
+        fn = _INT_ALU[_INT_ALU_IMM[op.opcode]]
+        b = op.imm & _WORD_MASK
+        ra, rd = op.ra, op.rd
+        new = TaggedWord.__new__
+        setattr_ = object.__setattr__
+
+        def run(thread, regs, commits, now):
+            word = new(TaggedWord)
+            setattr_(word, "value", fn(regs.read(ra).value, b) & _WORD_MASK)
+            setattr_(word, "tag", False)
+            commits.append(("r", rd, word))
+            return None
+        return run
+
+    def _movi_node(self, op: Operation, ip: GuardedPointer):
+        word = TaggedWord.integer(op.imm)
+        rd = op.rd
+
+        def run(thread, regs, commits, now):
+            commits.append(("r", rd, word))
+            return None
+        return run
+
+    def _mov_node(self, op: Operation, ip: GuardedPointer):
+        # MOV preserves the tag: copying a pointer yields the pointer
+        ra, rd = op.ra, op.rd
+
+        def run(thread, regs, commits, now):
+            commits.append(("r", rd, regs.read(ra)))
+            return None
+        return run
+
+    def _isptr_node(self, op: Operation, ip: GuardedPointer):
+        ra, rd = op.ra, op.rd
+        ispointer = ops.ispointer
+
+        def run(thread, regs, commits, now):
+            commits.append(("r", rd, ispointer(regs.read(ra))))
+            return None
+        return run
+
+    def _ip_relative(self, ip: GuardedPointer, imm: int):
+        """The pointer ``imm`` bytes from the fetch pointer, derived at
+        build time through the LEA memo (pure, so pre-deriving is
+        invisible), or None when the derivation faults: then the node
+        derives live, so the fault raises only when the op runs."""
+        try:
+            return self._lea(ip.word, imm)
+        except GuardedPointerFault:
+            return None
+
+    def _branch_node(self, op: Operation, ip: GuardedPointer):
+        """BR, and BEQ/BNE (taken when ``rd`` is zero / nonzero)."""
+        code, rd, imm = op.opcode, op.rd, op.imm
+        target = self._ip_relative(ip, imm)
+        lea, base = self._lea, ip.word
+        if code is Opcode.BR:
+            if target is None:
+                def run(thread, regs, commits, now):
+                    return lea(base, imm)
+            else:
+                def run(thread, regs, commits, now):
+                    return target
+            return run
+        want_zero = code is Opcode.BEQ
+        if target is None:
+            def run(thread, regs, commits, now):
+                value = regs.read(rd).value
+                if (value == 0) if want_zero else (value != 0):
+                    return lea(base, imm)
+                return None
+        else:
+            def run(thread, regs, commits, now):
+                value = regs.read(rd).value
+                taken = (value == 0) if want_zero else (value != 0)
+                return target if taken else None
+        return run
+
+    def _getip_node(self, op: Operation, ip: GuardedPointer):
+        rd, imm = op.rd, op.imm
+        target = self._ip_relative(ip, imm)
+        if target is None:
+            lea, base = self._lea, ip.word
+
+            def run(thread, regs, commits, now):
+                commits.append(("r", rd, lea(base, imm).word))
+                return None
+        else:
+            result = target.word
+
+            def run(thread, regs, commits, now):
+                commits.append(("r", rd, result))
+                return None
+        return run
+
+    def _jmp_node(self, op: Operation, ip: GuardedPointer):
+        """JMP.  ``check_jump`` is a pure function of the tagged target
+        word (enter→execute conversion included), so a passed check is
+        memoized chip-wide together with the target's decoded
+        permission; faulting targets are never cached and untagged
+        words always take the full check.  The jump auditor and the
+        enter-call tracker still see every jump."""
         chip = self.chip
-        memo = chip._store_check_memo if write else chip._load_check_memo
-        if memo is None or not word.tag:
-            ptr = self._lea(word, offset)
-            (ops.check_store if write else ops.check_load)(ptr.word)
-            return ptr.address
-        key = (word.value, offset)
-        vaddr = memo.get(key)
-        if vaddr is not None:
-            chip.check_memo_hits += 1
-            return vaddr
-        ptr = self._lea(word, offset)
-        (ops.check_store if write else ops.check_load)(ptr.word)
-        chip.check_memo_misses += 1
-        memo[key] = ptr.address
-        return ptr.address
+        memo = chip._jump_memo
+        obs = chip.obs
+        check_jump = ops.check_jump
+        from_word = GuardedPointer.from_word
+        ra = op.ra
 
-    def _exec_mem(self, thread: Thread, op: Operation, commits: list, now: int):
-        """Returns (block_until, pending_writes)."""
-        code = op.opcode
-        regs = thread.regs
-        no_block = (None, [])
-        if code in (Opcode.NOP, Opcode.FNOP):
-            return no_block
-
-        if code is Opcode.LD or code is Opcode.LDF:
-            vaddr = self._mem_address(regs.read(op.ra), op.imm, write=False)
-            result = self.chip.access_memory(vaddr, write=False, now=now)
-            if result.ready_cycle == REMOTE_WAIT:
-                # remote load: the window barrier resolves the value and
-                # the true latency (the histogram is charged then too)
-                self.chip.router.bind_remote_load(
-                    self.chip, thread.tid,
-                    "r" if code is Opcode.LD else "f", op.rd)
-                return REMOTE_WAIT, []
-            obs = self.chip.obs
+        def run(thread, regs, commits, now):
+            target = regs.read(ra)
+            hit = (memo.get(target.value)
+                   if memo is not None and target.tag else None)
+            if hit is None:
+                new_ip = check_jump(target, thread.privileged)
+                perm = from_word(target).permission
+                if memo is not None:
+                    memo[target.value] = (new_ip, perm)
+            else:
+                new_ip, perm = hit
+            auditor = chip.jump_auditor
+            if auditor is not None:
+                auditor(thread, from_word(target), new_ip, now)
             if obs.enabled:
-                obs.load_to_use.add(result.ready_cycle - now)
-            if code is Opcode.LD:
-                write = ("r", op.rd, result.word)
-            else:
-                write = ("f", op.rd, word_to_float(result.word))
-            return result.ready_cycle, [write]
+                obs.note_jump(thread, target, new_ip, now,
+                              cluster=thread.scheduler.cluster_id,
+                              target_perm=perm)
+            return new_ip
+        return run
 
-        if code is Opcode.ST or code is Opcode.STF:
-            vaddr = self._mem_address(regs.read(op.ra), op.imm, write=True)
-            if code is Opcode.ST:
-                value = regs.read(op.rd)
-            else:
-                value = float_to_word(regs.read_f(op.rd))
-            self.chip.access_memory(vaddr, write=True, now=now, value=value)
-            return no_block  # stores are buffered; the thread proceeds
+    def _halt_node(self, op: Operation, ip: GuardedPointer):
+        """HALT returns the halt sentinel; :meth:`_run_nodes` finishes
+        the thread."""
+        return _halt
 
-        if code is Opcode.LEA:
-            commits.append(("r", op.rd, self._lea(regs.read(op.ra), op.imm).word))
-            return no_block
-        if code is Opcode.LEAR:
-            offset = to_s64(regs.read(op.rb).untagged().value)
-            commits.append(("r", op.rd, self._lea(regs.read(op.ra), offset).word))
-            return no_block
-        if code is Opcode.LEAB:
-            commits.append(("r", op.rd, ops.leab(regs.read(op.ra), op.imm).word))
-            return no_block
-        if code is Opcode.LEABR:
-            offset = to_s64(regs.read(op.rb).untagged().value)
-            commits.append(("r", op.rd, ops.leab(regs.read(op.ra), offset).word))
-            return no_block
-        if code is Opcode.SETPTR:
-            forged = ops.setptr(regs.read(op.ra), privileged=thread.privileged)
-            commits.append(("r", op.rd, forged.word))
-            return no_block
-        if code is Opcode.RESTRICT:
-            perm_code = regs.read(op.rb).untagged().value
+    def _trap_node(self, op: Operation, ip: GuardedPointer):
+        code = op.imm
+
+        def run(thread, regs, commits, now):
+            raise TrapFault(code)
+        return run
+
+    # the floating-point unit
+
+    def _fp_alu_node(self, op: Operation, ip: GuardedPointer):
+        fn = _FP_ALU[op.opcode]
+        ra, rb, rd = op.ra, op.rb, op.rd
+
+        def run(thread, regs, commits, now):
+            commits.append(("f", rd, fn(regs.read_f(ra), regs.read_f(rb))))
+        return run
+
+    def _fmov_node(self, op: Operation, ip: GuardedPointer):
+        ra, rd = op.ra, op.rd
+
+        def run(thread, regs, commits, now):
+            commits.append(("f", rd, regs.read_f(ra)))
+        return run
+
+    def _itof_node(self, op: Operation, ip: GuardedPointer):
+        ra, rd = op.ra, op.rd
+
+        def run(thread, regs, commits, now):
+            commits.append(("f", rd, float(regs.read(ra).as_signed())))
+        return run
+
+    def _ftoi_node(self, op: Operation, ip: GuardedPointer):
+        ra, rd = op.ra, op.rd
+
+        def run(thread, regs, commits, now):
+            commits.append(("r", rd, TaggedWord.integer(
+                saturating_ftoi(regs.read_f(ra)))))
+        return run
+
+    # the memory unit.  Loads and stores keep the exact per-execution
+    # path: the access-check memo, then MAPChip.access_memory (the
+    # store's decoded-bundle invalidation, the banked cache's timing,
+    # the mesh route for remote addresses) and the load-to-use histogram
+
+    def _load_node(self, op: Operation, ip: GuardedPointer):
+        """LD/LDF.  A remote load binds its destination register and
+        returns the ``REMOTE_WAIT`` sentinel: the window barrier
+        resolves the value and the true latency (the histogram is
+        charged then too)."""
+        chip = self.chip
+        mem_address = self._mem_address
+        access = chip.access_memory
+        obs = chip.obs
+        load_to_use = obs.load_to_use.add
+        is_ld = op.opcode is Opcode.LD
+        bank = "r" if is_ld else "f"
+        ra, rd, imm = op.ra, op.rd, op.imm
+
+        def run(thread, regs, commits, now):
+            vaddr = mem_address(regs.read(ra), imm, write=False)
+            result = access(vaddr, write=False, now=now)
+            ready = result.ready_cycle
+            if ready == REMOTE_WAIT:
+                chip.router.bind_remote_load(chip, thread.tid, bank, rd)
+                return REMOTE_WAIT, ()
+            if obs.enabled:
+                load_to_use(ready - now)
+            if is_ld:
+                write = ("r", rd, result.word)
+            else:
+                write = ("f", rd, word_to_float(result.word))
+            return ready, (write,)
+        return run
+
+    def _store_node(self, op: Operation, ip: GuardedPointer):
+        """ST/STF: stores are buffered, the thread proceeds."""
+        mem_address = self._mem_address
+        access = self.chip.access_memory
+        is_st = op.opcode is Opcode.ST
+        ra, rd, imm = op.ra, op.rd, op.imm
+
+        def run(thread, regs, commits, now):
+            vaddr = mem_address(regs.read(ra), imm, write=True)
+            if is_st:
+                value = regs.read(rd)
+            else:
+                value = float_to_word(regs.read_f(rd))
+            access(vaddr, write=True, now=now, value=value)
+            return _NO_BLOCK
+        return run
+
+    def _lea_node(self, op: Operation, ip: GuardedPointer):
+        """LEA/LEAB by an immediate, LEAR/LEABR by a register offset;
+        LEA and LEAR derive through the LEA memo."""
+        code, ra, rb, rd, imm = op.opcode, op.ra, op.rb, op.rd, op.imm
+        derive = self._lea if code in (Opcode.LEA, Opcode.LEAR) else ops.leab
+        if code in (Opcode.LEA, Opcode.LEAB):
+            def run(thread, regs, commits, now):
+                commits.append(("r", rd, derive(regs.read(ra), imm).word))
+                return _NO_BLOCK
+        else:
+            def run(thread, regs, commits, now):
+                offset = to_s64(regs.read(rb).value)
+                commits.append(("r", rd, derive(regs.read(ra), offset).word))
+                return _NO_BLOCK
+        return run
+
+    def _setptr_node(self, op: Operation, ip: GuardedPointer):
+        ra, rd = op.ra, op.rd
+        setptr = ops.setptr
+
+        def run(thread, regs, commits, now):
+            forged = setptr(regs.read(ra), privileged=thread.privileged)
+            commits.append(("r", rd, forged.word))
+            return _NO_BLOCK
+        return run
+
+    def _restrict_node(self, op: Operation, ip: GuardedPointer):
+        ra, rb, rd = op.ra, op.rb, op.rd
+        restrict = ops.restrict
+
+        def run(thread, regs, commits, now):
+            perm_code = regs.read(rb).value
             try:
                 perm = Permission(perm_code)
             except ValueError:
-                raise RestrictFault(f"not a permission code: {perm_code}") from None
-            commits.append(("r", op.rd, ops.restrict(regs.read(op.ra), perm).word))
-            return no_block
-        if code is Opcode.SUBSEG:
-            length = regs.read(op.rb).untagged().value
-            commits.append(("r", op.rd, ops.subseg(regs.read(op.ra), length).word))
-            return no_block
-        raise AssertionError(f"unhandled memory op {code.name}")
+                raise RestrictFault(
+                    f"not a permission code: {perm_code}") from None
+            commits.append(("r", rd, restrict(regs.read(ra), perm).word))
+            return _NO_BLOCK
+        return run
+
+    def _subseg_node(self, op: Operation, ip: GuardedPointer):
+        ra, rb, rd = op.ra, op.rb, op.rd
+        subseg = ops.subseg
+
+        def run(thread, regs, commits, now):
+            length = regs.read(rb).value
+            commits.append(("r", rd, subseg(regs.read(ra), length).word))
+            return _NO_BLOCK
+        return run
+
+    #: the op table: slot -> opcode -> node builder, covering every
+    #: opcode in ``isa.OP_INFO`` (the memory slot also takes NOP, its
+    #: filler).  This is the one definition of op semantics the chip
+    #: executes; ``ReferenceInterpreter`` is the independent oracle.
+    NODE_BUILDERS = {
+        Slot.INT: {
+            Opcode.NOP: _filler,
+            **dict.fromkeys(_INT_ALU, _alu_node),
+            **dict.fromkeys(_INT_ALU_IMM, _alu_imm_node),
+            Opcode.MOVI: _movi_node,
+            Opcode.MOV: _mov_node,
+            Opcode.ISPTR: _isptr_node,
+            Opcode.BR: _branch_node,
+            Opcode.BEQ: _branch_node,
+            Opcode.BNE: _branch_node,
+            Opcode.JMP: _jmp_node,
+            Opcode.GETIP: _getip_node,
+            Opcode.HALT: _halt_node,
+            Opcode.TRAP: _trap_node,
+        },
+        Slot.MEM: {
+            Opcode.NOP: _filler,
+            Opcode.LD: _load_node,
+            Opcode.LDF: _load_node,
+            Opcode.ST: _store_node,
+            Opcode.STF: _store_node,
+            **dict.fromkeys((Opcode.LEA, Opcode.LEAR, Opcode.LEAB,
+                             Opcode.LEABR), _lea_node),
+            Opcode.SETPTR: _setptr_node,
+            Opcode.RESTRICT: _restrict_node,
+            Opcode.SUBSEG: _subseg_node,
+        },
+        Slot.FP: {
+            Opcode.FNOP: _filler,
+            **dict.fromkeys(_FP_ALU, _fp_alu_node),
+            Opcode.FMOV: _fmov_node,
+            Opcode.ITOF: _itof_node,
+            Opcode.FTOI: _ftoi_node,
+        },
+    }
 
     # -- fault plumbing ------------------------------------------------------
 

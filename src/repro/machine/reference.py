@@ -113,13 +113,13 @@ class ReferenceInterpreter:
         branch_target: GuardedPointer | None = None
         halted = False
 
-        target = self._exec_int(bundle.int_op, commits, privileged)
+        target = self._int_slot(bundle.int_op, commits, privileged)
         if target == "halt":
             halted = True
         elif target is not None:
             branch_target = target
-        self._exec_fp(bundle.fp_op, commits)
-        self._exec_mem(bundle.mem_op, commits, privileged)
+        self._fp_slot(bundle.fp_op, commits)
+        self._mem_slot(bundle.mem_op, commits, privileged)
 
         for bank, index, value in commits:
             if bank == "r":
@@ -135,7 +135,7 @@ class ReferenceInterpreter:
             self.ip = ops.lea(self.ip.word, BUNDLE_BYTES)
         return "running"
 
-    def _exec_int(self, op: Operation, commits, privileged: bool):
+    def _int_slot(self, op: Operation, commits, privileged: bool):
         code = op.opcode
         regs = self.regs
         if code is Opcode.NOP:
@@ -177,7 +177,7 @@ class ReferenceInterpreter:
             return ops.check_jump(regs.read(op.ra), privileged)
         raise AssertionError(f"unhandled integer op {code.name}")
 
-    def _exec_fp(self, op: Operation, commits) -> None:
+    def _fp_slot(self, op: Operation, commits) -> None:
         code = op.opcode
         regs = self.regs
         if code in (Opcode.FNOP, Opcode.NOP):
@@ -198,7 +198,7 @@ class ReferenceInterpreter:
             return
         raise AssertionError(f"unhandled fp op {code.name}")
 
-    def _exec_mem(self, op: Operation, commits, privileged: bool) -> None:
+    def _mem_slot(self, op: Operation, commits, privileged: bool) -> None:
         code = op.opcode
         regs = self.regs
         if code in (Opcode.NOP, Opcode.FNOP):

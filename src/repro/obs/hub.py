@@ -32,13 +32,14 @@ Emission never changes machine state: cycle counts with tracing on and
 off are bit-identical, and the tracer parity tests and the
 tracing-overhead benchmark police that continuously.
 
-``hub.hot`` is also the gate compiled-node issue and superblock turbo
-execution respect (``docs/PERF.md`` §6): while a *hot* sink is
-attached the chip issues every bundle through the per-bundle executor
-and never enters a bulk-dispatch trace, so per-bundle event streams
-stay complete — turbo mode never skips an emission a listener would
-have seen.  A spans-only sink leaves turbo on: miss fills inside a
-superblock go through the same cache access path and still emit.
+``hub.hot`` is also the gate superblock turbo execution respects
+(``docs/PERF.md`` §6): while a *hot* sink is attached the chip issues
+every bundle through its compiled node one cycle at a time — the issue
+body emits each ``bundle`` event before the bundle runs — and never
+enters a bulk dispatch, so per-bundle event streams stay complete;
+turbo mode never skips an emission a listener would have seen.  A
+spans-only sink leaves turbo on: miss fills inside a superblock go
+through the same cache access path and still emit.
 Cold-path emissions and the histograms (e.g. load-to-use) are still
 recorded from inside a trace, at the same cycles as the per-cycle
 path.

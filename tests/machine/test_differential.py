@@ -14,6 +14,9 @@ from repro.core.permissions import Permission
 from repro.core.pointer import GuardedPointer
 from repro.machine.assembler import assemble
 from repro.machine.chip import ChipConfig, MAPChip
+from repro.machine.cluster import Cluster
+from repro.machine.faults import TrapFault
+from repro.machine.isa import OP_INFO, Opcode, Slot
 from repro.machine.reference import ReferenceInterpreter
 from repro.machine.thread import ThreadState
 
@@ -70,31 +73,133 @@ def assert_same_state(thread, chip_result, ref, ref_result, chip):
             assert chip_word == ref.load_word(vaddr), f"mem[{vaddr:#x}]"
 
 
+#: FP unit, including IEEE division by zero (inf, -inf, nan), and the
+#: FP load/store path
+FP_PROGRAM = (
+    "movi r1, 7\nmovi r2, 2\nitof f1, r1\nitof f2, r2\nfsub f3, f1, f2\n"
+    "fadd f13, f1, f2\nfdiv f4, f1, f2\nfdiv f5, f1, f0\nfsub f6, f0, f1\nfdiv f7, f6, f0\n"
+    "fdiv f9, f0, f0\nfmov f10, f4\nstf f4, r8, 0\nldf f11, r8, 0\n"
+    "stf f7, r8, 8\nstf f9, r8, 16\nldf f12, r8, 16\nftoi r3, f5\nhalt")
+
+#: shifts and compares, register and immediate forms
+SHIFT_COMPARE_PROGRAM = (
+    "movi r1, -5\nmovi r2, 3\nshl r3, r1, r2\nshr r4, r1, r2\n"
+    "slt r5, r1, r2\nseq r6, r2, r2\nslt r7, r2, r1\nseq r9, r1, r2\n"
+    "shli r10, r1, 60\nshri r11, r1, 1\nslti r12, r1, 0\nseqi r13, r2, 3\n"
+    "halt")
+
+#: hand-written programs that, with the fault-parity cases below, hold
+#: every opcode of the ISA.  The reference interpreter is the second
+#: implementation of op semantics the chip is checked against, but it
+#: shares the ALU and FP tables (``_INT_ALU``/``_FP_ALU``) with the
+#: chip, so :data:`LITERAL_RESULTS` pins their arithmetic by value
+KNOWN_PROGRAMS = [
+    "movi r1, 5\naddi r2, r1, 3\nhalt",
+    "movi r1, 10\nloop:\nbeq r1, out\nsubi r1, r1, 1\nbr loop\nout:\nhalt",
+    "movi r2, 3\nst r2, r8, 0\nld r3, r8, 0\nadd r4, r3, r3\nhalt",
+    "movi r1, 6\nitof f1, r1\nfmul f2, f1, f1\nftoi r2, f2\nhalt",
+    "lea r9, r8, 8\nst r8, r9, 0\nld r10, r9, 0\nisptr r11, r10\nhalt",
+    # intra-bundle read-before-write
+    "movi r1, 1\nmovi r2, 2\nadd r1, r1, r2 | st r1, r8, 0\nld r3, r8, 0\nhalt",
+    # register-offset and base-relative derivation; derived pointers
+    # are stored so the memory comparison checks their bits too
+    "movi r1, 16\nlear r9, r8, r1\nst r1, r9, 0\nleab r10, r9, 8\n"
+    "leabr r11, r9, r1\nld r2, r8, 16\nst r10, r8, 32\nst r11, r8, 40\n"
+    "ld r3, r11, 0\nhalt",
+    FP_PROGRAM,
+    # GETIP builds a return-style execute pointer; JMP goes through it
+    "getip r5, target\njmp r5\nmovi r1, 1\ntarget:\nmovi r2, 2\nhalt",
+    SHIFT_COMPARE_PROGRAM,
+    # the rest of the ALU, a register copy and a not-taken/taken BNE
+    "movi r1, 12\nmovi r2, 10\nmul r3, r1, r2\nsub r4, r2, r1\n"
+    "and r5, r1, r2\nor r6, r1, r2\nxor r7, r1, r2\nandi r9, r1, 4\n"
+    "ori r10, r1, 1\nxori r11, r1, -1\nmov r12, r8\nbne r0, skip\n"
+    "bne r1, skip\nmovi r13, 1\nskip:\nhalt",
+    # RESTRICT to read-only, then load through it; SUBSEG to 64 bytes,
+    # then store and reload through the smaller segment
+    "movi r1, 0\nrestrict r9, r8, r1\nld r2, r9, 0\nmovi r3, 6\n"
+    "subseg r10, r8, r3\nst r10, r8, 8\nld r4, r10, 8\nst r4, r10, 56\n"
+    "halt",
+]
+
+#: literal results for the programs whose arithmetic the chip and the
+#: reference compute with the same table entries: (r|f, index) -> value
+#: (``nan`` matches any NaN)
+LITERAL_RESULTS = {
+    FP_PROGRAM: {
+        ("f", 3): 5.0, ("f", 13): 9.0, ("f", 4): 3.5,
+        ("f", 5): float("inf"), ("f", 6): -7.0, ("f", 7): float("-inf"),
+        ("f", 9): float("nan"), ("f", 10): 3.5, ("f", 11): 3.5,
+        ("f", 12): float("nan"),
+    },
+    SHIFT_COMPARE_PROGRAM: {
+        ("r", 3): 0xFFFF_FFFF_FFFF_FFD8,   # -5 << 3
+        ("r", 4): 0x1FFF_FFFF_FFFF_FFFF,   # logical -5 >> 3
+        ("r", 5): 1, ("r", 6): 1, ("r", 7): 0, ("r", 9): 0,
+        ("r", 10): 0xB000_0000_0000_0000,  # -5 << 60
+        ("r", 11): 0x7FFF_FFFF_FFFF_FFFD,  # logical -5 >> 1
+        ("r", 12): 1, ("r", 13): 1,
+    },
+}
+
+#: the fault-parity programs (TestKnownPrograms.test_fault_parity_*)
+FAULT_PROGRAMS = {
+    "out_of_bounds": "ld r2, r8, 8192\nhalt",
+    "bad_jump": "jmp r8\nhalt",
+    "setptr_unprivileged": "movi r1, 4\nsetptr r2, r1\nhalt",
+    "trap": "movi r1, 1\ntrap 3\nhalt",
+}
+
+
 class TestKnownPrograms:
-    @pytest.mark.parametrize("source", [
-        "movi r1, 5\naddi r2, r1, 3\nhalt",
-        "movi r1, 10\nloop:\nbeq r1, out\nsubi r1, r1, 1\nbr loop\nout:\nhalt",
-        "movi r2, 3\nst r2, r8, 0\nld r3, r8, 0\nadd r4, r3, r3\nhalt",
-        "movi r1, 6\nitof f1, r1\nfmul f2, f1, f1\nftoi r2, f2\nhalt",
-        "lea r9, r8, 8\nst r8, r9, 0\nld r10, r9, 0\nisptr r11, r10\nhalt",
-        # intra-bundle read-before-write
-        "movi r1, 1\nmovi r2, 2\nadd r1, r1, r2 | st r1, r8, 0\nld r3, r8, 0\nhalt",
-    ])
+    @pytest.mark.parametrize("source", KNOWN_PROGRAMS)
     def test_matches_reference(self, source):
-        assert_same_state(*run_both(source))
+        thread, chip_result, ref, ref_result, chip = run_both(source)
+        assert_same_state(thread, chip_result, ref, ref_result, chip)
+        for (bank, index), want in LITERAL_RESULTS.get(source, {}).items():
+            got = (thread.regs.read(index).value if bank == "r"
+                   else thread.regs.read_f(index))
+            assert got == want or (want != want and got != got), \
+                f"{bank}{index} = {got!r}, want {want!r}"
+
+    def test_programs_cover_every_opcode(self):
+        reached = {op.opcode
+                   for source in KNOWN_PROGRAMS + list(FAULT_PROGRAMS.values())
+                   for bundle in assemble(source).bundles
+                   for op in bundle.operations}
+        assert reached == set(OP_INFO)
 
     def test_fault_parity_out_of_bounds(self):
-        thread, cr, ref, rr, chip = run_both("ld r2, r8, 8192\nhalt")
+        thread, cr, ref, rr, chip = run_both(FAULT_PROGRAMS["out_of_bounds"])
         assert cr.reason == "faulted" and rr.reason == "faulted"
         assert type(thread.fault.cause) is type(rr.fault)
 
     def test_fault_parity_bad_jump(self):
-        thread, cr, ref, rr, chip = run_both("jmp r8\nhalt")
+        thread, cr, ref, rr, chip = run_both(FAULT_PROGRAMS["bad_jump"])
         assert cr.reason == "faulted" and rr.reason == "faulted"
 
     def test_fault_parity_setptr_unprivileged(self):
-        thread, cr, ref, rr, chip = run_both("movi r1, 4\nsetptr r2, r1\nhalt")
+        thread, cr, ref, rr, chip = run_both(
+            FAULT_PROGRAMS["setptr_unprivileged"])
         assert cr.reason == "faulted" and rr.reason == "faulted"
+
+    def test_fault_parity_trap(self):
+        # no kernel: the trap kills the thread, with r1 already committed
+        thread, cr, ref, rr, chip = run_both(FAULT_PROGRAMS["trap"])
+        assert cr.reason == "faulted" and rr.reason == "faulted"
+        assert type(thread.fault.cause) is type(rr.fault) is TrapFault
+        assert thread.fault.cause.code == rr.fault.code == 3
+        assert thread.fault.opcode_name == "trap"
+        assert rr.bundles == thread.stats.bundles == 1
+        assert thread.regs.read(1) == ref.regs.read(1)
+
+
+class TestOpTable:
+    def test_every_opcode_has_a_builder_in_its_slot(self):
+        for opcode, (slot, _) in OP_INFO.items():
+            assert opcode in Cluster.NODE_BUILDERS[slot], opcode.name
+        # the memory slot's filler is the integer NOP
+        assert Opcode.NOP in Cluster.NODE_BUILDERS[Slot.MEM]
 
 
 # -- random program generation -----------------------------------------------

@@ -1,9 +1,10 @@
-"""Compiled nodes and superblock turbo execution (PERF.md §6): issuing
-bundles through compiled nodes, one at a time or in bulk, must be
-invisible — identical cycles, identical counter snapshots, identical
-flight-recorder contents — with the knob on vs off, for every
-functional unit, with one ready thread (superblocks) and with several
-(per-cycle node issue), across mid-superblock invalidation
+"""Compiled nodes and superblock turbo execution (PERF.md §6): every
+bundle issues through its compiled node, one cycle at a time or in
+bulk.  Bulk dispatch must be invisible — identical cycles, identical
+counter snapshots, identical flight-recorder contents — with the knob
+on (superblocks) vs off (per-cycle node issue), for every functional
+unit, with one ready thread (superblocks engage) and with several
+(per-cycle issue on both sides), across mid-superblock invalidation
 (self-modifying stores, unmap, swap-out, remote writes) and across a
 snapshot taken while a superblock is hot."""
 
@@ -15,6 +16,7 @@ from repro.core.word import TaggedWord
 from repro.machine.isa import BUNDLE_BYTES
 from repro.machine.chip import ChipConfig, MAPChip, RunReason
 from repro.machine.thread import ThreadState
+from repro.runtime import services
 from repro.runtime.subsystem import ProtectedSubsystem
 from repro.runtime.swap import SwapManager
 from repro.sim.api import Simulation
@@ -29,9 +31,11 @@ def run_pair(source, *, data_bytes=0, max_cycles=100_000, threads=1,
     When ``data_bytes`` is set an eager segment lands in r8; ``setup``
     may prepare the machine and the loaded program (it gets both) and
     returns further registers.  ``threads``
-    copies of the program run side by side: with one, the chip runs
-    superblocks; with two or more ready, every bundle issues per cycle
-    through its compiled node."""
+    copies of the program run side by side: with one, the knob-on chip
+    runs superblocks; with two or more ready, both chips issue every
+    bundle per cycle.  Either way the knob-off chip issues per cycle
+    through the same compiled nodes, so the pair isolates bulk
+    dispatch and its accounting."""
     out = []
     for sb in (True, False):
         sim = Simulation(nodes=nodes, memory_bytes=MEMORY, superblock=sb)
@@ -100,7 +104,7 @@ UNIT_WORKLOADS = {
     done:
         halt
     """,
-    # integer unit: MOV and GETIP compile, ISPTR falls back to the unit
+    # integer unit: MOV, ISPTR and GETIP nodes
     "int-fallback": """
         movi r2, 100
     loop:
@@ -268,9 +272,10 @@ NODES = {"mem-remote": 2}
 
 class TestUnitParity:
     """coreblocks-style per-unit sweep: each functional unit (and each
-    compiled-vs-fallback op class within it) proves the contract, once
-    with a lone thread (superblocks) and once with two ready threads
-    (per-cycle issue through the compiled nodes)."""
+    op class within it) proves that bulk dispatch matches per-cycle
+    node issue, once with a lone thread (superblocks against per-cycle
+    issue) and once with two ready threads (per-cycle issue on both
+    sides)."""
 
     @pytest.mark.parametrize("unit", sorted(UNIT_WORKLOADS))
     def test_unit_is_timing_identical(self, unit):
@@ -281,13 +286,16 @@ class TestUnitParity:
                 nodes=NODES.get(unit, 1), setup=SETUP.get(unit))
             assert res_on.reason == "halted"
             assert_parity(sim_on, res_on, sim_off, res_off)
-            chips = sim_on.chips
+            bulk = sum(c.superblock_bundles for c in sim_on.chips)
             if threads == 1:
-                assert sum(c.superblock_bundles for c in chips) > 0
+                assert bulk > 0
             else:
-                assert sum(c.node_bundles - c.superblock_bundles
-                           for c in chips) > 0
-            assert not any(c.node_bundles for c in sim_off.chips)
+                assert bulk < res_on.issued_bundles
+            # the knob-off side never dispatches in bulk, yet issues
+            # through compiled nodes kept in its decode cache
+            assert not any(c.superblock_blocks for c in sim_off.chips)
+            assert any(node for c in sim_off.chips
+                       for _, _, node in c._decode_cache.values())
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_enter_round_trips_match(self, threads):
@@ -342,6 +350,37 @@ class TestUnitParity:
         thread_on = sim_on.threads[0]
         assert thread_on.state is ThreadState.FAULTED
         assert_parity(sim_on, res_on, sim_off, res_off)
+
+    def test_trap_dispatch_runs_per_cycle(self):
+        # a lone thread loops through a spawn trap: the handler puts a
+        # child on a later cluster, which issues in the trap's own
+        # cycle when stepping — so superblocks must end before a TRAP
+        # and leave its dispatch to the per-cycle path
+        source = f"""
+            movi r2, 3
+        loop:
+            getip r3, child
+            trap  {services.TRAP_SPAWN}
+            addi  r7, r7, 1
+            subi  r2, r2, 1
+            bne   r2, loop
+            halt
+        child:
+            addi  r1, r1, 1
+            halt
+        """
+        out = []
+        for sb in (True, False):
+            sim = Simulation(memory_bytes=MEMORY, superblock=sb)
+            services.install(sim.kernel)
+            sim.spawn(sim.load(source), cluster=0)
+            out.append(sim)
+            out.append(sim.run(100_000))
+        assert out[1].reason == "halted"
+        assert out[0].kernel.stats.traps == 3
+        assert len(out[0].threads) == 4
+        assert out[0].chip.superblock_blocks > 0
+        assert_parity(*out)
 
     def test_blocking_load_exits_the_superblock(self):
         # a cold miss blocks the thread; the superblock must account
@@ -415,7 +454,7 @@ class TestMidSuperblockInvalidation:
             sim.spawn(entry)
             sim.step(50)  # compiled nodes are hot across this boundary
             cache = sim.chip._decode_cache
-            assert any(node for _, _, node in cache.values()) == sb
+            assert any(node for _, _, node in cache.values())
             table = sim.chip.page_table
             table.unmap(table.page_of(entry.address))
             assert not cache  # the nodes went with their entries

@@ -9,8 +9,10 @@ import pytest
 
 from repro.core.word import TaggedWord
 from repro.machine.chip import ChipConfig, MAPChip, RunReason
+from repro.machine.isa import BUNDLE_BYTES
 from repro.machine.multicomputer import Multicomputer
 from repro.machine.network import MeshShape
+from repro.machine.thread import ThreadState
 from repro.obs import EVENT_NAMES, TraceSession
 from repro.persist import MigrationService
 from repro.runtime.kernel import Kernel
@@ -62,6 +64,52 @@ class TestIssueStream:
         texts = [e.args["text"] for e in session.events
                  if e.name == "bundle"]
         assert "movi r9, 42" in texts
+
+    def test_one_bundle_event_per_issued_bundle_before_its_effects(self):
+        # two callers cross an enter-privileged gateway, come back and
+        # die on an unregistered trap; every bundle that issued (the
+        # faulting trap too) emits exactly one ``bundle`` event, in
+        # issue order, ahead of its own enter.call / fault.raise
+        sim = Simulation()
+        gate = ProtectedSubsystem.install(
+            sim.kernel, "entry:\n  movi r11, 99\n  jmp r15", privileged=True)
+        caller = sim.load("""
+            getip r15, ret
+            jmp r1
+        ret:
+            mov r5, r11
+            trap 77
+            halt
+        """)
+        threads = [sim.spawn(caller, regs={1: gate.enter.word},
+                             stack_bytes=0) for _ in range(2)]
+        with sim.trace() as session:
+            sim.run()
+        assert all(t.state is ThreadState.FAULTED for t in threads)
+        assert sim.kernel.stats.traps == 2
+        c, g = caller.address, gate.enter.address
+        path = [c, c + BUNDLE_BYTES, g, g + BUNDLE_BYTES,
+                c + 2 * BUNDLE_BYTES, c + 3 * BUNDLE_BYTES]
+        events = session.events
+        for t in threads:
+            mine = [e for e in events if e.tid == t.tid
+                    and e.name in ("bundle", "enter.call", "fault.raise")]
+            issued = [e for e in mine if e.name == "bundle"]
+            assert [e.args["address"] for e in issued] == path
+            # the committed bundles plus the trap, which issued and
+            # committed nothing
+            assert len(issued) == t.stats.bundles + 1
+            # each effect follows its own bundle's event, same cycle
+            for i, e in enumerate(mine):
+                if e.name != "bundle":
+                    assert mine[i - 1].name == "bundle"
+                    assert mine[i - 1].cycle == e.cycle
+            assert [e.name for e in mine].count("enter.call") == 1
+            assert mine[-1].name == "fault.raise"
+            assert mine[-1].args["site"] == "trap"
+            assert mine[-2].args["text"].startswith("trap 77")
+        bundle_cycles = [e.cycle for e in events if e.name == "bundle"]
+        assert bundle_cycles == sorted(bundle_cycles)
 
 
 class TestMemoryHierarchy:

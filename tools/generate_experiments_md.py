@@ -528,7 +528,7 @@ def e16_section() -> str:
         "capability *is* the pointer.",
         "",
         "**Verdict: mechanism validated** (no paper numbers to compare);",
-        "`BENCH_pr10.json` records median + IQR across trials.",
+        "`BENCH_pr14.json` records median + IQR across trials.",
     ]
     return "\n".join(lines)
 
