@@ -36,7 +36,6 @@ def build_chip(optimized: bool, threads: int = THREADS,
         memory_bytes=4 * 1024 * 1024,
         threads_per_cluster=max(threads, 1),
         decode_cache=optimized,
-        idle_fast_forward=optimized,
     ))
     kernel = Kernel(chip)
     source = WORKER.format(iterations=iterations)

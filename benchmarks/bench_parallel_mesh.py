@@ -48,10 +48,6 @@ def _drive(requests: int, tenants: int, side: int, workers: int,
     try:
         roster = install_tenants(sim, tenants)
         driver = ServiceLoadDriver(sim, roster)
-        if workers == 1:
-            # parity with the sharded engine's warm-start capture
-            # (capture resets the functional memos on the live machine)
-            sim.capture_state()
         schedule = open_loop(requests=requests, tenants=tenants,
                              mean_gap=MEAN_GAP, seed=seed)
         t0 = time.perf_counter()

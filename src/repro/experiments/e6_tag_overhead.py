@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from repro.analysis.overhead import (
     HARDWARE_INVENTORY,
     HardwareInventory,
-    memory_bits,
     tag_overhead,
 )
 from repro.mem.tagged_memory import TaggedMemory
@@ -55,15 +54,6 @@ def paper_claim_check() -> dict[str, float]:
         "closed_form": tag_overhead(),
         "paper_claim": 0.015,
         "ratio_to_claim": measured / 0.015,
-    }
-
-
-def system_bits(words: int = 1 << 20) -> dict[str, int]:
-    """Total bits with and without tags for a 1M-word memory."""
-    return {
-        "untagged": memory_bits(words, tagged=False),
-        "tagged": memory_bits(words, tagged=True),
-        "extra": memory_bits(words, True) - memory_bits(words, False),
     }
 
 

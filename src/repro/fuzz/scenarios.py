@@ -38,6 +38,7 @@ from repro.core.pointer import GuardedPointer
 from repro.core.word import TaggedWord
 from repro.machine.assembler import assemble
 from repro.machine.chip import ChipConfig, MAPChip
+from repro.machine.counters import architectural
 from repro.machine.multicomputer import Multicomputer
 from repro.machine.network import MeshShape
 from repro.machine.thread import Thread
@@ -526,14 +527,11 @@ def _run_sharded_mesh(case: FuzzCase, workers: int) -> dict:
     code (the bare-chip register convention, transplanted).  With
     ``workers=1`` the lockstep engine runs it; with ``workers=2`` each
     node lives in its own OS process and the digest must not be able
-    to tell.
-
-    Capture points are symmetric on purpose: ``capture_state`` resets
-    the functional memos on the live machine (the documented carve-out
-    in ``repro.persist.state``), and the sharded engine captures once
-    at worker warm-start, so the lockstep arm takes an explicit capture
-    at the same point.  Both arms then capture at a window-aligned
-    split, which doubles as the mid-run snapshot-digest comparison.
+    to tell.  Both arms capture at a window-aligned split for the
+    mid-run snapshot-digest comparison; the counters are compared
+    without their host telemetry
+    (:func:`~repro.machine.counters.architectural`), since the
+    sharded arm's workers re-warm the memos from cold.
     """
     import hashlib
 
@@ -556,14 +554,12 @@ def _run_sharded_mesh(case: FuzzCase, workers: int) -> dict:
             for index, value in case.fregs.items():
                 thread.regs.write_f(index, value)
             tids.append(thread.tid)
-        if workers == 1:
-            sim.capture_state()  # parity with the warm-start capture
         budget = MAX_CYCLES
         budget -= sim.run(max_cycles=8 * sim.machine.window).cycles
         mid = hashlib.sha256(
             encode_snapshot(sim.capture_state())).hexdigest()
         sim.run(max_cycles=budget)
-        counters = sim.snapshot()
+        counters = architectural(sim.snapshot())
         sim.sync_back()
         nodes = []
         for node, tid in enumerate(tids):
@@ -587,8 +583,8 @@ def diff_parallel_axis(case: FuzzCase) -> Divergence | None:
     """Run ``case`` on a two-node mesh under the lockstep engine and
     again with ``workers=2`` — every node advanced in its own OS
     process — and require bit-identical digests: cycle counts,
-    registers, memory, fault sequences, the merged counter snapshot,
-    and a sha-256 of the full machine image captured at a
+    registers, memory, fault sequences, the merged architectural
+    counters, and a sha-256 of the full machine image captured at a
     window-aligned split mid-run.  This is the sharded engine's whole
     contract: the partition map must be unobservable."""
     if case.scenario not in PARALLEL_SCENARIOS:

@@ -94,14 +94,10 @@ class ChipConfig:
     #: Timing-model-transparent — cycle counts are identical on or off;
     #: the fuzzer's fastpath-on-vs-off axis polices that continuously.
     data_fast_path: bool = True
-    #: let run() jump the clock over stretches where every thread is
-    #: blocked on memory, instead of stepping them cycle by cycle
-    #: (cycle counts and per-cluster idle accounting are preserved)
-    idle_fast_forward: bool = True
-    #: bulk dispatch, the busy-cycle twin of ``idle_fast_forward``:
-    #: when exactly one thread is ready and nothing else on the chip
-    #: can act, run its compiled nodes in one dispatch with bulk
-    #: accounting (see PERF.md §6).  Every bundle issues through its
+    #: bulk dispatch, the busy-cycle twin of the run loop's idle
+    #: fast-forward: when exactly one thread is ready and nothing else
+    #: on the chip can act, run its compiled nodes in one dispatch with
+    #: bulk accounting (see PERF.md §6).  Every bundle issues through its
     #: node either way; off issues them one cycle at a time.
     #: Timing-model-transparent — cycle counts, counters and trace
     #: events are identical on or off; the fuzzer's
@@ -574,9 +570,6 @@ class MAPChip:
 
     # -- scheduler-count aggregation (kept incrementally by clusters) -----
 
-    def ready_threads(self) -> int:
-        return self._ready_count
-
     def runnable_threads(self) -> int:
         return self._runnable_count
 
@@ -653,7 +646,6 @@ class MAPChip:
         start_cycle = self.now
         start_bundles = self.stats.issued_bundles
         idle_streak = 0
-        fast_forward = self.config.idle_fast_forward
         # superblocks need the decode cache (they run cached nodes
         # only).  On a mesh this run is one node's share of a
         # lookahead window, inside which no cross-node state moves:
@@ -665,7 +657,7 @@ class MAPChip:
                 return RunResult(self.now - start_cycle,
                                  self.stats.issued_bundles - start_bundles,
                                  self._stop_reason())
-            if fast_forward and self._ready_count == 0:
+            if self._ready_count == 0:
                 # Everyone is blocked on the memory system: jump the
                 # clock to the first wake-up (bounded by the cycle
                 # budget and the deadlock limit).

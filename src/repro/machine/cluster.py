@@ -198,15 +198,6 @@ class Cluster:
         self._count(new, +1)
 
     @property
-    def ready_count(self) -> int:
-        return self._n_ready
-
-    @property
-    def runnable_count(self) -> int:
-        """Threads that can still make progress (ready or blocked)."""
-        return self._n_ready + self._n_blocked
-
-    @property
     def faulted_count(self) -> int:
         return self._n_faulted
 

@@ -41,6 +41,15 @@ from typing import Callable, Mapping
 #: Type of a pull source: returns {counter_name: value} when sampled.
 CounterSource = Callable[[], Mapping[str, int | float]]
 
+#: Host telemetry, not machine state: the tallies of the simulator's
+#: functional memos (decoded-bundle cache, access-check memos,
+#: translation line memo).  The memos are pure functions of pointer
+#: bits and the page table, so these counts depend on when the host
+#: last cleared them (a restore does), never on a simulated cycle.
+#: Snapshot capture leaves them out; compare two machines with
+#: :func:`architectural`.
+HOST_COUNTERS = ("fetch.", "mem.check_memo_", "cache.xlate_memo_")
+
 
 def _json_safe(value: int | float) -> int | float:
     """Clamp a counter reading to something ``json.dumps(...,
@@ -125,6 +134,20 @@ class PerfCounters:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PerfCounters({len(self._events)} events, {len(self._sources)} sources)"
+
+
+def architectural(snapshot: Mapping[str, int | float]
+                  ) -> dict[str, int | float]:
+    """``snapshot`` without its :data:`HOST_COUNTERS`, bare or
+    ``node<N>.``-qualified: the counters two machines in the same
+    architectural state must agree on."""
+    out = {}
+    for name, value in snapshot.items():
+        head, _, rest = name.partition(".")
+        bare = rest if head[:4] == "node" and head[4:].isdigit() else name
+        if not bare.startswith(HOST_COUNTERS):
+            out[name] = value
+    return out
 
 
 def merge_snapshots(per_node: Mapping[int, Mapping[str, int | float]]

@@ -76,10 +76,6 @@ class BuddyAllocator:
     def free_bytes(self) -> int:
         return sum((1 << k) * len(s) for k, s in self._free.items())
 
-    @property
-    def used_bytes(self) -> int:
-        return self.total_bytes - self.free_bytes
-
     def largest_free_order(self) -> int | None:
         """Order of the largest free block, or None when full."""
         for k in range(self.order, self.min_order - 1, -1):
@@ -150,10 +146,6 @@ class BuddyAllocator:
             base = min(base, buddy)
             k += 1
         self._free[k].add(base)
-
-    def allocated_blocks(self) -> list[Block]:
-        """All live blocks, ordered by base address."""
-        return [Block(b, o) for b, o in sorted(self._allocated.items())]
 
     # -- persistence (repro.persist) -----------------------------------
 

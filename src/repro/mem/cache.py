@@ -321,14 +321,16 @@ class BankedCache:
         dirty bits, oldest first), the port busy cycles, and statistics.
         The translation line memo is *not* captured — it is a pure
         function of the page table and re-warms after restore without
-        changing a single cycle."""
+        changing a single cycle — and neither are its ``xlate_memo_*``
+        tallies, which are host telemetry."""
         return {
             "banks": [{"busy_until": bank.busy_until,
                        "sets": [[[line, dirty] for line, dirty in entry]
                                 for entry in bank._lines]}
                       for bank in self._banks],
             "external_busy_until": self._external_busy_until,
-            "stats": vars(self.stats).copy(),
+            "stats": {name: value for name, value in vars(self.stats).items()
+                      if not name.startswith("xlate_memo_")},
         }
 
     def restore_state(self, state: dict) -> None:

@@ -96,10 +96,6 @@ class PageTable:
     def is_mapped(self, virtual_page: int) -> bool:
         return virtual_page in self._map
 
-    @property
-    def mapped_pages(self) -> int:
-        return len(self._map)
-
     # -- the walk --------------------------------------------------------
 
     def walk(self, vaddr: int) -> int:

@@ -160,6 +160,24 @@ class Histogram:
                 f"p50={self.percentile(0.5)}, max={self.max})")
 
 
+def histogram_window(end: dict, start: dict, prefix: str) -> dict:
+    """The slice of an accumulating histogram between two counter
+    snapshots: the ``bucket<K>``/``sum<K>``/``count``/``total`` keys
+    under ``<prefix>.`` differenced, the rest (``max`` and the derived
+    statistics) kept from ``end`` — ``max`` is an upper bound for the
+    window, exact when the window saw the overall max."""
+    out = {}
+    for key, value in end.items():
+        if not key.startswith(prefix + "."):
+            continue
+        stat = key[len(prefix) + 1:]
+        if stat.startswith(("bucket", "sum")) or stat in ("count", "total"):
+            out[key] = value - start.get(key, 0)
+        else:
+            out[key] = value
+    return out
+
+
 def percentile_from_snapshot(snapshot: dict, prefix: str,
                              fraction: float) -> int:
     """A percentile recomputed from the ``bucket<K>``/``sum<K>`` counts

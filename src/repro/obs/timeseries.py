@@ -30,7 +30,7 @@ import json
 from pathlib import Path
 
 from repro.machine.counters import merge_snapshots
-from repro.obs.histogram import percentile_from_snapshot
+from repro.obs.histogram import histogram_window, percentile_from_snapshot
 
 #: the CSV column order (also the row-dict key order)
 COLUMNS = ("window", "start", "end", "cycles", "completed",
@@ -92,16 +92,7 @@ class TimeseriesSampler:
         def delta(key: str) -> int:
             return int(snap.get(key, 0)) - int(last.get(key, 0))
 
-        window_hist = {}
-        for key, value in snap.items():
-            if not key.startswith(_LATENCY + "."):
-                continue
-            stat = key[len(_LATENCY) + 1:]
-            if stat.startswith(("bucket", "sum")) or stat in ("count",
-                                                              "total"):
-                window_hist[key] = value - last.get(key, 0)
-            else:
-                window_hist[key] = value
+        window_hist = histogram_window(snap, last, _LATENCY)
         cycles = now - self._last_cycle
         completed = delta(f"{_LATENCY}.count")
         row = {

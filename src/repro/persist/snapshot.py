@@ -46,7 +46,7 @@ from pathlib import Path
 
 MAGIC = b"MAPSNAP1"
 FORMAT = "map-snapshot"
-VERSION = 1
+VERSION = 2
 
 #: payload kinds the image layer writes; readers use this to dispatch
 KINDS = ("simulation", "chip", "multicomputer", "delta")

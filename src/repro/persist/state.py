@@ -13,22 +13,19 @@ the simulator's timing-transparency contract:
   deferred writes, wake cycle, fault record);
 * **dropped and re-warmed** — the decoded-bundle cache (with the
   compiled nodes in its entries), the LEA and jump memos, the
-  load/store check memos and the cache's translation line memo.  They are pure functions of pointer bits and
-  the page table, change zero cycles by contract (the fuzzer's
-  on-vs-off axes police that continuously), and so a restored machine
-  replays cycle-identically whether or not they were present at
-  capture time.
+  load/store check memos and the cache's translation line memo.  They
+  are pure functions of pointer bits and the page table, change zero
+  cycles by contract (the fuzzer's on-vs-off axes police that
+  continuously), and so a restored machine replays cycle-identically
+  whether or not they were present at capture time.
 
-Capture *also* resets those memos on the live machine.  The memo
-hit/miss tallies (``fetch.*``, ``mem.check_memo_*``,
-``cache.xlate_memo_*``) are architectural counter state and are
-captured exactly; if the live machine kept its warm memos past the
-capture point while a restored twin re-warmed from cold, those tallies
-would silently diverge between two otherwise bit-identical machines.
-Clearing both sides at the snapshot boundary makes capture the common
-reset point: live-after-capture and restored-from-capture re-warm
-identically, so full counter-snapshot equality holds with no
-"modulo memo tallies" carve-out.
+Capture is a pure read: it leaves the live machine exactly as it found
+it.  The memo tallies (``fetch.*``, ``mem.check_memo_*``,
+``cache.xlate_memo_*``) are host telemetry, named in
+:data:`repro.machine.counters.HOST_COUNTERS`, and are not captured;
+restore clears the memos and leaves the tallies counting.  Compare a
+live machine with a restored twin through
+:func:`repro.machine.counters.architectural`.
 
 Nothing here touches pointers: a guarded pointer's protection state is
 its 64 bits plus the tag, so serialising words *is* serialising
@@ -61,8 +58,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: ChipConfig fields that change simulator speed but zero cycles; a
 #: snapshot restores onto a machine with *any* setting of these.
-SPEED_KNOBS = frozenset({"decode_cache", "data_fast_path",
-                         "idle_fast_forward", "superblock"})
+SPEED_KNOBS = frozenset({"decode_cache", "data_fast_path", "superblock"})
 
 #: purely observational ChipConfig fields (no architectural or timing
 #: effect), equally exempt from the restore shape check
@@ -229,7 +225,7 @@ def capture_obs(obs) -> dict:
     }
 
 
-def restore_obs(chip: "MAPChip", state: dict | None) -> None:
+def restore_obs(chip: "MAPChip", state: dict) -> None:
     """Inverse of :func:`capture_obs` onto ``chip.obs``.  Histograms the
     snapshot knows but the hub does not (late-wired ones, like the
     service's ``request_latency``) are created and wired into the
@@ -237,12 +233,6 @@ def restore_obs(chip: "MAPChip", state: dict | None) -> None:
     from repro.obs.hub import load_flight
 
     obs = chip.obs
-    if state is None:  # pre-windows image: start observability cold
-        for histogram in obs.histograms.values():
-            histogram.reset()
-        obs.flight.clear()
-        obs._enter_stack = {}
-        return
     captured = dict((name, data) for name, data in state["histograms"])
     for name in list(obs.histograms) + [n for n in captured
                                         if n not in obs.histograms]:
@@ -260,16 +250,7 @@ def restore_obs(chip: "MAPChip", state: dict | None) -> None:
         histogram.total = int(data["total"])
         histogram.max = int(data["max"])
         histogram._buckets = [int(b) for b in data["buckets"]]
-        if "sums" in data:
-            histogram._sums = [int(s) for s in data["sums"]]
-        else:
-            # pre-sum snapshot: reconstruct the legacy upper-bound
-            # sums so old images keep reporting their old percentiles
-            from repro.obs.histogram import _OVERFLOW
-            histogram._sums = [
-                b * (histogram.max if k == _OVERFLOW else (1 << k) - 1)
-                if k else 0
-                for k, b in enumerate(histogram._buckets)]
+        histogram._sums = [int(s) for s in data["sums"]]
     flight = obs.flight
     flight.clear()
     for event in load_flight(state["flight"]):
@@ -282,11 +263,10 @@ def restore_obs(chip: "MAPChip", state: dict | None) -> None:
 # -- the chip -------------------------------------------------------------
 
 def _reset_functional_memos(chip: "MAPChip") -> None:
-    """Raw-clear every functional memo (no invalidation counters bump:
-    this is a snapshot boundary, not an architectural invalidation).
-    Called on both sides of the boundary — by capture on the live
-    machine and by restore on the target — so the two re-warm from the
-    same cold state and their memo tallies stay bit-identical."""
+    """Raw-clear every functional memo on a restored machine (no
+    invalidation counters bump: this is a snapshot boundary, not an
+    architectural invalidation).  The memos re-warm from the restored
+    page table without a cycle's skew."""
     chip._decode_cache.clear()
     if chip._lea_cache is not None:
         chip._lea_cache.clear()
@@ -301,11 +281,9 @@ def _reset_functional_memos(chip: "MAPChip") -> None:
 
 
 def capture_chip(chip: "MAPChip") -> dict:
-    """The complete architectural + timing state of one node.
-
-    Capturing resets the live machine's functional memos (see the
-    module docstring): the snapshot is the common cold-start point from
-    which the live machine and any restored twin re-warm identically."""
+    """The complete architectural + timing state of one node.  A pure
+    read: the functional memos and their tallies are host state (see
+    the module docstring) and stay as they are."""
     if chip.memory._devices:
         raise SnapshotError(
             "cannot snapshot a machine with MMIO devices attached: "
@@ -326,7 +304,7 @@ def capture_chip(chip: "MAPChip") -> dict:
             "slots": [encode_thread(t) if t is not None else None
                       for t in cluster.slots],
         })
-    state = {
+    return {
         "config": config_dict(chip.config),
         "now": chip.now,
         "next_tid": chip._next_tid,
@@ -339,10 +317,6 @@ def capture_chip(chip: "MAPChip") -> dict:
         "fault_log": [encode_fault_record(r) for r in chip.fault_log],
         "counter_events": chip.counters.capture_events(),
         "stats": vars(chip.stats).copy(),
-        "fetch": {"hits": chip.fetch_hits, "misses": chip.fetch_misses,
-                  "invalidations": chip.decode_invalidations},
-        "check_memo": {"hits": chip.check_memo_hits,
-                       "misses": chip.check_memo_misses},
         # windowed-mesh per-node state (empty off a mesh): the
         # remote-code mirror, the words this node exported to remote
         # fetchers, and in-flight remote-load register bindings
@@ -355,8 +329,6 @@ def capture_chip(chip: "MAPChip") -> dict:
         },
         "obs": capture_obs(chip.obs),
     }
-    _reset_functional_memos(chip)
-    return state
 
 
 def restore_chip_state(chip: "MAPChip", state: dict) -> None:
@@ -381,8 +353,6 @@ def restore_chip_state(chip: "MAPChip", state: dict) -> None:
     chip.tlb.restore_state(state["tlb"])
     chip.cache.restore_state(state["cache"])
 
-    # drop every functional memo — they re-warm without a cycle's skew,
-    # from the same cold state capture left on the live machine
     _reset_functional_memos(chip)
 
     chip._ready_count = 0
@@ -414,25 +384,15 @@ def restore_chip_state(chip: "MAPChip", state: dict) -> None:
     chip.counters.restore_events(state["counter_events"])
     for name, value in state["stats"].items():
         setattr(chip.stats, name, value)
-    chip.fetch_hits = int(state["fetch"]["hits"])
-    chip.fetch_misses = int(state["fetch"]["misses"])
-    chip.decode_invalidations = int(state["fetch"]["invalidations"])
-    chip.check_memo_hits = int(state["check_memo"]["hits"])
-    chip.check_memo_misses = int(state["check_memo"]["misses"])
-    windows = state.get("windows")  # tolerate pre-windows images
-    if windows is None:
-        chip._remote_mirror = {}
-        chip._exported_code = set()
-        chip._remote_pending = {}
-    else:
-        chip._remote_mirror = {
-            int(vaddr): None if pair is None else (int(pair[0]), bool(pair[1]))
-            for vaddr, pair in windows["mirror"]}
-        chip._exported_code = {int(v) for v in windows["exported"]}
-        chip._remote_pending = {
-            int(seq): (int(b[0]), b[1], int(b[2]))
-            for seq, b in windows["pending"]}
-    restore_obs(chip, state.get("obs"))
+    windows = state["windows"]
+    chip._remote_mirror = {
+        int(vaddr): None if pair is None else (int(pair[0]), bool(pair[1]))
+        for vaddr, pair in windows["mirror"]}
+    chip._exported_code = {int(v) for v in windows["exported"]}
+    chip._remote_pending = {
+        int(seq): (int(b[0]), b[1], int(b[2]))
+        for seq, b in windows["pending"]}
+    restore_obs(chip, state["obs"])
     chip.now = int(state["now"])
     chip._next_tid = int(state["next_tid"])
 

@@ -522,8 +522,7 @@ class Simulation:
         """Rebuild a simulation from a :meth:`save` file — single-node
         and mesh images both come back behind this same facade.
         Keyword overrides may flip the simulator speed knobs
-        (``decode_cache``, ``data_fast_path``, ``idle_fast_forward``,
-        ``superblock``);
+        (``decode_cache``, ``data_fast_path``, ``superblock``);
         architectural overrides are rejected.  (Named ``restore``
         because ``load`` is the facade's program loader.)"""
         from repro.machine.multicomputer import Multicomputer

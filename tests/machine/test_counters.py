@@ -3,7 +3,8 @@ consistency with the chip's raw statistics on real workloads."""
 
 from repro.experiments.e5_multithreading import WORKER
 from repro.machine.chip import ChipConfig, RunReason
-from repro.machine.counters import PerfCounters, merge_snapshots
+from repro.machine.counters import (PerfCounters, architectural,
+                                    merge_snapshots)
 from repro.runtime.subsystem import ProtectedSubsystem
 from repro.sim.api import Simulation
 
@@ -61,6 +62,16 @@ class TestPerfCounters:
         # per-node views stay untouched
         assert merged["node0.cache.hit_rate"] == 0.9
         assert merged["node1.cache.hit_rate"] == 0.1
+
+    def test_architectural_drops_host_counters(self):
+        merged = merge_snapshots({
+            0: {"fetch.hits": 5, "cache.hits": 3,
+                "mem.check_memo_hits": 2, "mem.faults": 1,
+                "cache.xlate_memo_misses": 4},
+        })
+        kept = architectural(merged)
+        assert kept == {"cache.hits": 3, "node0.cache.hits": 3,
+                        "mem.faults": 1, "node0.mem.faults": 1}
 
     def test_merge_hit_rate_with_zero_accesses(self):
         merged = merge_snapshots({

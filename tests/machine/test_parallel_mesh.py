@@ -3,17 +3,17 @@
 Every test here runs the same workload under the lockstep engine and
 under the sharded :class:`~repro.machine.parallel.WindowEngine` and
 compares bit-for-bit — cycle counts, counters, memory images, full
-snapshot digests.  One asymmetry needs care: ``capture_state`` resets
-the functional memos on the live machine (the documented carve-out in
-``repro.persist.state``), and the sharded engine captures once at
-worker warm-start, so every lockstep arm takes an explicit capture at
-the matching point before comparing gauge counters.
+snapshot digests.  Counters are compared through
+:func:`~repro.machine.counters.architectural`: the memo tallies are
+host telemetry, and the sharded engine's workers re-warm their memos
+from cold.
 """
 
 import hashlib
 
 import pytest
 
+from repro.machine.counters import architectural
 from repro.machine.parallel import partition_nodes
 from repro.persist.snapshot import encode_snapshot
 from repro.sim.api import Simulation, SimulationError
@@ -38,8 +38,6 @@ def build_cross(workers, nodes=2):
     for node in range(nodes):
         data = sim.allocate(4096, node=(node + 1) % nodes, eager=True)
         sim.spawn(CROSS_LOOP, node=node, regs={1: data.word})
-    if workers == 1:
-        sim.capture_state()  # parity with the sharded warm-start capture
     return sim
 
 
@@ -72,7 +70,8 @@ class TestBitEquality:
             a = serial.run()
             b = sharded.run()
             assert (b.cycles, b.reason) == (a.cycles, a.reason)
-            assert sharded.snapshot() == serial.snapshot()
+            assert (architectural(sharded.snapshot())
+                    == architectural(serial.snapshot()))
             assert digest(sharded) == digest(serial)
         finally:
             sharded.close()
@@ -87,7 +86,8 @@ class TestBitEquality:
                 assert sharded.now == serial.now
             serial.run()
             sharded.run()
-            assert sharded.snapshot() == serial.snapshot()
+            assert (architectural(sharded.snapshot())
+                    == architectural(serial.snapshot()))
             assert digest(sharded) == digest(serial)
         finally:
             sharded.close()
@@ -121,8 +121,6 @@ class TestWindowEdgeRace:
             for node, value in ((1, 111), (2, 222)):
                 sim.spawn("st r2, r1, 0\nhalt", node=node,
                           regs={1: target.word, 2: value})
-            if workers == 1:
-                sim.capture_state()
             try:
                 sim.run()
                 sim.sync_back()
@@ -152,7 +150,8 @@ class TestDeterminism:
         try:
             serial.run()
             sharded.run()
-            assert sharded.snapshot() == serial.snapshot()
+            assert (architectural(sharded.snapshot())
+                    == architectural(serial.snapshot()))
             assert digest(sharded) == digest(serial)
         finally:
             sharded.close()
@@ -167,10 +166,10 @@ class TestRebalance:
             serial.run(max_cycles=split)
             sharded.run(max_cycles=split)
             sharded.rebalance([[0, 2], [1, 3]])  # interleave ownership
-            serial.capture_state()  # parity with the rebalance reship
             serial.run()
             sharded.run()
-            assert sharded.snapshot() == serial.snapshot()
+            assert (architectural(sharded.snapshot())
+                    == architectural(serial.snapshot()))
             assert digest(sharded) == digest(serial)
         finally:
             sharded.close()

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from repro.machine.counters import architectural
 from repro.machine.parallel import ParallelError
 from repro.sim.api import Simulation
 
@@ -105,7 +106,8 @@ def test_restore_reships_a_started_sharded_machine():
             sim.sync_back()
             sim.restore_state(image)
             again = sim.run()
-            results.append((first.cycles, again.cycles, sim.snapshot(),
+            results.append((first.cycles, again.cycles,
+                            architectural(sim.snapshot()),
                             sim.capture_state()))
         finally:
             sim.close()

@@ -6,6 +6,7 @@ working pointer (§2).  These tests hold the implementation to that:
 
 * a restored machine's captured state digests identically to the
   original's (:class:`TestDigestIdentity`);
+* capture is a pure read of the live machine (:class:`TestCaptureIsRead`);
 * resuming a restored machine is indistinguishable from never stopping
   (:class:`TestResume`);
 * the swap manager's backing store crosses the boundary: pages swapped
@@ -125,6 +126,44 @@ class TestDigestIdentity:
         path = sim.save(tmp_path / "sim.snap")
         with pytest.raises(SnapshotError):
             load_simulation(path, memory_bytes=16 * 1024 * 1024)
+
+
+def memos(sim: Simulation) -> list:
+    """A shallow copy of every functional memo on every node."""
+    return [None if memo is None else dict(memo) for chip in sim.chips
+            for memo in (chip._decode_cache, chip._lea_cache,
+                         chip._jump_memo, chip._load_check_memo,
+                         chip._store_check_memo, chip.cache._xlate)]
+
+
+class TestCaptureIsRead:
+    @pytest.mark.parametrize("nodes", [1, 2])
+    def test_captured_run_ends_like_an_uncaptured_one(self, nodes,
+                                                      tmp_path):
+        """Memos stay warm across every capture and save, and the run
+        ends with the full counter snapshot — host counters included —
+        of one never captured."""
+        def build():
+            if nodes == 1:
+                return running_sim()
+            sim = Simulation(nodes=2, memory_bytes=2 * 1024 * 1024,
+                             arena_order=24)
+            for node in (0, 1):  # data homed on the other node
+                data = sim.allocate(4096, node=1 - node, eager=True)
+                sim.spawn(PROGRAM, node=node, regs={1: data.word})
+            return sim
+
+        captured, plain = build(), build()
+        for index in range(4):
+            captured.run(max_cycles=50)
+            plain.run(max_cycles=50)
+            before = memos(captured)
+            assert any(before)  # warm, so the check bites
+            captured.capture_state()
+            captured.save(tmp_path / f"{index}.snap")
+            assert memos(captured) == before
+        assert captured.run().reason == plain.run().reason == "halted"
+        assert captured.snapshot() == plain.snapshot()
 
 
 class TestResume:
