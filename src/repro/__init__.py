@@ -35,7 +35,6 @@ from repro.core import (
 )
 from repro.machine.chip import ChipConfig, MAPChip, RunReason, RunResult
 from repro.machine.counters import PerfCounters
-from repro.machine.multicomputer import Multicomputer
 from repro.runtime.kernel import Kernel
 from repro.runtime.subsystem import ProtectedSubsystem, ReturnSegment
 from repro.sim.api import Simulation
@@ -61,7 +60,6 @@ __all__ = [
     "RunResult",
     "PerfCounters",
     "Simulation",
-    "Multicomputer",
     "Kernel",
     "ProtectedSubsystem",
     "ReturnSegment",

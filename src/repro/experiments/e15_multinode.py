@@ -17,10 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.permissions import Permission
-from repro.machine.chip import ChipConfig
-from repro.machine.multicomputer import Multicomputer
 from repro.machine.network import MeshShape
 from repro.machine.thread import ThreadState
+from repro.sim.api import Simulation
 
 
 @dataclass(frozen=True)
@@ -30,31 +29,28 @@ class HopPoint:
     messages: int
 
 
-def _machine(x: int = 4) -> Multicomputer:
-    return Multicomputer(
-        shape=MeshShape(x, 1, 1),
-        chip_config=ChipConfig(memory_bytes=2 * 1024 * 1024),
-        arena_order=24,
-    )
+def _machine(x: int = 4) -> Simulation:
+    return Simulation.mesh(MeshShape(x, 1, 1), memory_bytes=2 * 1024 * 1024,
+                           arena_order=24)
 
 
 def latency_vs_distance(max_hops: int = 3) -> list[HopPoint]:
     """One warm remote load from node 0 to homes 0..max_hops away."""
     points = []
     for distance in range(0, max_hops + 1):
-        mc = _machine(x=max_hops + 1)
-        data = mc.allocate_on(distance, 4096, eager=True)
-        entry = mc.load_on(0, """
+        sim = _machine(x=max_hops + 1)
+        data = sim.allocate(4096, node=distance, eager=True)
+        entry = sim.load("""
             ld r2, r1, 0
             halt
-        """)
-        thread = mc.spawn_on(0, entry, regs={1: data.word}, stack_bytes=0)
-        result = mc.run()
+        """, node=0)
+        thread = sim.spawn(entry, node=0, regs={1: data.word}, stack_bytes=0)
+        result = sim.run()
         assert result.reason == "halted", result.reason
         points.append(HopPoint(
             hops=distance,
             stall_cycles=thread.stats.stall_cycles,
-            messages=mc.network.stats.messages,
+            messages=sim.network.stats.messages,
         ))
     return points
 
@@ -69,23 +65,24 @@ class ProtectionLocality:
 def protection_stays_local(attempts: int = 8) -> ProtectionLocality:
     """Forbidden remote stores: all denied, all without touching the
     mesh, and the home node holds zero protection state."""
-    mc = _machine(x=2)
-    victim = mc.allocate_on(1, 4096, Permission.READ_ONLY, eager=True)
+    sim = _machine(x=2)
+    victim = sim.allocate(4096, node=1, perm=Permission.READ_ONLY, eager=True)
     denied = 0
     for i in range(attempts):
-        entry = mc.load_on(0, """
+        entry = sim.load("""
             movi r2, 1
             st r2, r1, 0
             halt
-        """)
-        thread = mc.spawn_on(0, entry, regs={1: victim.word}, stack_bytes=0)
-        mc.run()
+        """, node=0)
+        thread = sim.spawn(entry, node=0, regs={1: victim.word},
+                           stack_bytes=0)
+        sim.run()
         if thread.state is ThreadState.FAULTED:
             denied += 1
-        mc.chips[0].clusters[0].remove_thread(thread)  # free the slot
+        sim.chips[0].clusters[0].remove_thread(thread)  # free the slot
     return ProtectionLocality(
         denied_remote_stores=denied,
-        network_messages=mc.network.stats.messages,
+        network_messages=sim.network.stats.messages,
         # the home node's entire protection apparatus for remote
         # sharers: none — no table rows, no ACLs, no ASIDs
         remote_protection_state_bytes=0,

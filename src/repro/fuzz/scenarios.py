@@ -37,12 +37,12 @@ from repro.core.permissions import Permission
 from repro.core.pointer import GuardedPointer
 from repro.core.word import TaggedWord
 from repro.machine.assembler import assemble
-from repro.machine.chip import ChipConfig, MAPChip
+from repro.machine.chip import MAPChip
 from repro.machine.counters import architectural
-from repro.machine.multicomputer import Multicomputer
 from repro.machine.network import MeshShape
 from repro.machine.thread import Thread
 from repro.machine.verifier import InvariantViolation, SecurityMonitor
+from repro.persist.image import capture_bare_chip
 from repro.runtime.gc import AddressSpaceGC, sweep_revoke
 from repro.runtime.swap import SwapManager
 from repro.sim.api import Simulation
@@ -61,38 +61,18 @@ ROUNDTRIP_AFTER = 40
 
 
 # -- the replay-axis splice ------------------------------------------------
-#
-# Each helper captures a machine through the real container codec and
-# rebuilds a fresh one from the bytes — the same path a snapshot file
-# takes through disk, minus the filesystem.  Returning the blob lets a
-# divergence carry the exact restorable image that misbehaved.
 
-def _roundtrip_bare_chip(chip: MAPChip) -> tuple[MAPChip, bytes]:
-    from repro.persist.snapshot import decode_snapshot, encode_snapshot
-    from repro.persist.state import capture_chip, restore_chip_state
-
-    blob = encode_snapshot({"kind": "chip", "chip": capture_chip(chip)})
-    payload = decode_snapshot(blob)
-    fresh = MAPChip(ChipConfig(**payload["chip"]["config"]))
-    restore_chip_state(fresh, payload["chip"])
-    return fresh, blob
-
-
-def _roundtrip_sim(sim: Simulation) -> tuple[Simulation, bytes]:
-    from repro.persist.image import capture_simulation, restore_simulation
+def _roundtrip(payload: dict) -> tuple[Simulation, bytes]:
+    """Encode a captured image through the real container codec and
+    rebuild a fresh machine from the bytes with the dispatcher ``repro
+    restore`` uses — the path a snapshot file takes through disk, minus
+    the filesystem.  Returning the blob lets a divergence carry the
+    exact restorable image that misbehaved."""
+    from repro.persist.image import restore_machine
     from repro.persist.snapshot import decode_snapshot, encode_snapshot
 
-    blob = encode_snapshot(capture_simulation(sim))
-    return restore_simulation(decode_snapshot(blob)), blob
-
-
-def _roundtrip_mc(mc: Multicomputer) -> tuple[Multicomputer, bytes]:
-    from repro.persist.image import (capture_multicomputer,
-                                     restore_multicomputer)
-    from repro.persist.snapshot import decode_snapshot, encode_snapshot
-
-    blob = encode_snapshot(capture_multicomputer(mc))
-    return restore_multicomputer(decode_snapshot(blob)), blob
+    blob = encode_snapshot(payload)
+    return restore_machine(decode_snapshot(blob)), blob
 
 
 def _rebind(chip: MAPChip, thread: Thread) -> tuple[Thread, SecurityMonitor]:
@@ -180,7 +160,8 @@ def _run_program_scenario(case: FuzzCase, decode_cache: bool,
     budget = MAX_CYCLES
     if roundtrip:
         budget -= chip.run(ROUNDTRIP_AFTER).cycles
-        chip, snapshot = _roundtrip_bare_chip(chip)
+        restored, snapshot = _roundtrip(capture_bare_chip(chip))
+        chip = restored.chip
         thread, monitor = _rebind(chip, thread)
     chip.run(budget)
     digest = _digest_chip(chip, [thread],
@@ -228,7 +209,7 @@ def _run_unmap_remap(case: FuzzCase, decode_cache: bool,
                                     halt_words[i % 3])
     snapshot = None
     if roundtrip:
-        sim, snapshot = _roundtrip_sim(sim)
+        sim, snapshot = _roundtrip(sim.capture_state())
         thread, monitor = _rebind(sim.chip, thread)
     sim.run(MAX_CYCLES)
     digest = _digest_chip(sim.chip, [thread],
@@ -255,7 +236,7 @@ def _run_swap(case: FuzzCase, decode_cache: bool,
     if roundtrip:
         # the snapshot lands while both pages sit in the backing store:
         # the restored machine must fault them back in identically
-        sim, snapshot = _roundtrip_sim(sim)
+        sim, snapshot = _roundtrip(sim.capture_state())
         thread, monitor = _rebind(sim.chip, thread)
     sim.run(MAX_CYCLES)
     digest = _digest_chip(sim.chip, [thread],
@@ -285,7 +266,7 @@ def _run_gc_sweep(case: FuzzCase, decode_cache: bool,
     sweep_revoke(sim.kernel, victim)
     snapshot = None
     if roundtrip:
-        sim, snapshot = _roundtrip_sim(sim)
+        sim, snapshot = _roundtrip(sim.capture_state())
         thread, monitor = _rebind(sim.chip, thread)
     sim.run(MAX_CYCLES)
     digest = _digest_chip(sim.chip, [thread],
@@ -317,7 +298,7 @@ def _run_loader_reuse(case: FuzzCase, decode_cache: bool,
     if roundtrip:
         # snapshot straddles the loader boundary: program A is done,
         # its range is free, program B is loaded on the *restored* sim
-        sim, snapshot = _roundtrip_sim(sim)
+        sim, snapshot = _roundtrip(sim.capture_state())
         thread_a, monitor = _rebind(sim.chip, thread_a)
         data = sim.kernel.segments[data_base].pointer
     entry_b = sim.load(case.meta["source_b"])
@@ -340,38 +321,36 @@ def _run_remote_store(case: FuzzCase, decode_cache: bool,
     Superblocks run inside each node's share of a lookahead window, so
     on this scenario the superblock axis compares bulk against
     per-cycle dispatch across a cross-node code patch."""
-    mc = Multicomputer(MeshShape(2, 1, 1),
-                       chip_config=ChipConfig(memory_bytes=2 * 1024 * 1024,
-                                              decode_cache=decode_cache,
-                                              data_fast_path=data_fast_path,
-                                              superblock=superblock),
-                       arena_order=24)
-    data = mc.allocate_on(0, DATA_BYTES, eager=True)
-    entry = mc.load_on(0, case.source)
-    monitors = [SecurityMonitor(chip) for chip in mc.chips]
-    thread = mc.spawn_on(0, entry, regs={8: data.word})
+    sim = Simulation.mesh(MeshShape(2, 1, 1), memory_bytes=2 * 1024 * 1024,
+                          decode_cache=decode_cache,
+                          data_fast_path=data_fast_path,
+                          superblock=superblock, arena_order=24)
+    data = sim.allocate(DATA_BYTES, node=0, eager=True)
+    entry = sim.load(case.source, node=0)
+    monitors = [SecurityMonitor(chip) for chip in sim.chips]
+    thread = sim.spawn(entry, node=0, regs={8: data.word})
     monitors[0].note_spawn(thread)
     for index, value in case.fregs.items():
         thread.regs.write_f(index, value)
-    mc.run(max_cycles=case.meta["mutate_after"])
+    sim.run(max_cycles=case.meta["mutate_after"])
     patch_addr = entry.segment_base + case.meta["patch_offset"]
-    mc.chips[1].access_memory(
-        patch_addr, write=True, now=mc.chips[1].now,
+    sim.chips[1].access_memory(
+        patch_addr, write=True, now=sim.chips[1].now,
         value=TaggedWord.integer(case.meta["patch_word"]))
     snapshot = None
     if roundtrip:
         # whole-machine round-trip: both nodes plus the mesh's port
         # timing come back from the bytes
-        mc, snapshot = _roundtrip_mc(mc)
-        thread, monitor0 = _rebind(mc.chips[0], thread)
+        sim, snapshot = _roundtrip(sim.capture_state())
+        thread, monitor0 = _rebind(sim.chips[0], thread)
         monitors = [monitor0] + [SecurityMonitor(chip)
-                                 for chip in mc.chips[1:]]
-    mc.run(max_cycles=MAX_CYCLES)
-    digest = _digest_chip(mc.chips[0], [thread],
+                                 for chip in sim.chips[1:]]
+    sim.run(max_cycles=MAX_CYCLES)
+    digest = _digest_chip(sim.chips[0], [thread],
                           [(data.segment_base, DATA_BYTES)], monitors)
-    digest["cycles"] = max(chip.now for chip in mc.chips)
+    digest["cycles"] = max(chip.now for chip in sim.chips)
     digest["faults"] = [[type(r.cause).__name__ for r in chip.fault_log]
-                        for chip in mc.chips]
+                        for chip in sim.chips]
     if snapshot is not None:
         digest["_snapshot"] = snapshot
     return digest

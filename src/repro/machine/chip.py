@@ -714,22 +714,3 @@ class MAPChip:
         self.counters.incr("chip.idle_skipped_cycles", cycles)
         for cluster in self.clusters:
             cluster.idle_cycles += cycles
-
-    # -- persistence (repro.persist) -----------------------------------
-
-    def capture_state(self) -> dict:
-        """This node's complete machine state as a JSON-safe dict (see
-        :func:`repro.persist.state.capture_chip`).  Pair with
-        :meth:`restore_state`; :class:`repro.sim.api.Simulation` wraps
-        both behind ``save``/``load``."""
-        from repro.persist.state import capture_chip
-
-        return capture_chip(self)
-
-    def restore_state(self, state: dict) -> None:
-        """Overwrite this node's state with a captured image.  The chip
-        must have the snapshot's architectural shape; the simulator
-        speed knobs may differ (they change zero cycles)."""
-        from repro.persist.state import restore_chip_state
-
-        restore_chip_state(self, state)

@@ -1,4 +1,4 @@
-"""The M-Machine as a multicomputer (§3) — windowed mesh engine.
+"""The M-Machine as a multicomputer (§3) — the windowed mesh model.
 
 Multiple MAP nodes share the single 54-bit global address space: the
 high-order address bits name the *home node* of every byte.  A guarded
@@ -33,13 +33,17 @@ message injected at cycle ``T`` cannot affect its destination before
   requests in that order, and replies/invalidations are applied back
   at the sources in that order.
 
-The loop that advances windows and runs barriers is
-:class:`~repro.machine.parallel.WindowEngine`, written once.  It drives
-the nodes through one of two executors: in-process (lockstep — what
-:meth:`Multicomputer.run` uses) or sharded across OS processes.
-Because nodes never interact inside a window, both produce
-**bit-identical** machines — the partitioned-vs-lockstep fuzz axis
-proves it continuously.
+This module is the mesh *model* only: the router contract, the
+outboxes, the two barrier halves, the migration forwarding map and the
+window state.  The loop that advances windows and runs barriers is
+:class:`~repro.machine.parallel.WindowEngine`, written once, and the
+one way to build, drive and save a mesh is the facade that owns it —
+:class:`~repro.sim.api.Simulation` (``Simulation(nodes=N)`` or
+``Simulation.mesh(shape)``).  The engine drives the nodes through one
+of two executors: in-process (lockstep, ``workers=1``) or sharded
+across OS processes.  Because nodes never interact inside a window,
+both produce **bit-identical** machines — the partitioned-vs-lockstep
+fuzz axis proves it continuously.
 
 Semantics under the protocol (visible differences from a
 cycle-interleaved engine, all bounded by one window):
@@ -72,14 +76,11 @@ from dataclasses import dataclass
 
 from repro.core.constants import ADDRESS_BITS
 from repro.core.exceptions import PageFault
-from repro.core.pointer import GuardedPointer
 from repro.core.word import TaggedWord
-from repro.machine.chip import ChipConfig, MAPChip, RunResult
-from repro.machine.counters import merge_snapshots
+from repro.machine.chip import ChipConfig, MAPChip
 from repro.machine.faults import FaultRecord
 from repro.machine.isa import OP_BYTES
 from repro.machine.network import MeshNetwork, MeshShape
-from repro.machine.parallel import WindowEngine
 from repro.machine.registers import word_to_float
 from repro.machine.thread import REMOTE_WAIT, Thread, ThreadState
 from repro.mem.cache import AccessResult
@@ -123,7 +124,8 @@ def window_cycles(hop_cycles: int, interface_cycles: int) -> int:
 
 class Multicomputer:
     """A mesh of MAP nodes over one global address space, advanced in
-    conservative lookahead windows (see the module docstring).
+    conservative lookahead windows (see the module docstring) by the
+    :class:`~repro.sim.api.Simulation` that owns it.
 
     Each node gets its own :class:`~repro.runtime.kernel.Kernel` whose
     arena lives inside the node's partition; page faults on remote
@@ -191,8 +193,6 @@ class Multicomputer:
         #: cluster can attach its destination register immediately
         self._last_load: tuple[int, int] = (0, -1)
         self._external_cycles = config.external_cycles
-        #: the in-process window engine behind run / step / advance_idle
-        self._lockstep = WindowEngine(self.kernels, self)
 
     def home_of(self, vaddr: int) -> int:
         """The node currently holding ``vaddr``: the partition's static
@@ -570,78 +570,6 @@ class Multicomputer:
                     if node != src:
                         per_node[node].append((index, ["flush"]))
         return per_node
-
-    # -- global-kernel conveniences ----------------------------------------
-
-    def allocate_on(self, node: int, nbytes: int, perm=None,
-                    eager: bool = False) -> GuardedPointer:
-        kwargs = {} if perm is None else {"perm": perm}
-        return self.kernels[node].allocate_segment(nbytes, eager=eager, **kwargs)
-
-    def load_on(self, node: int, source, **kwargs) -> GuardedPointer:
-        return self.kernels[node].load_program(source, **kwargs)
-
-    def spawn_on(self, node: int, entry: GuardedPointer, **kwargs) -> Thread:
-        return self.kernels[node].spawn(entry, **kwargs)
-
-    # -- machine-wide performance counters ---------------------------------
-
-    def counters_snapshot(self) -> dict[str, int | float]:
-        """Every node's counter file merged into one view: bare names
-        are machine-wide sums, ``node<N>.*`` names stay per-node."""
-        return merge_snapshots(
-            {chip.node_id: chip.counters.snapshot() for chip in self.chips})
-
-    # -- the machine-wide clock --------------------------------------------
-
-    def all_threads(self) -> list[Thread]:
-        return [t for chip in self.chips for t in chip.all_threads()]
-
-    def step(self) -> int:
-        """Advance every node one cycle; returns bundles issued
-        machine-wide.  Barriers fire exactly when the clock reaches
-        them, identically to :meth:`run`."""
-        return self._lockstep.step(1)
-
-    def advance_idle(self, cycles: int) -> None:
-        """Machine-wide half of :meth:`MAPChip.advance_idle`: skip
-        guaranteed-idle cycles on every node (see
-        :meth:`WindowEngine.advance_idle`)."""
-        self._lockstep.advance_idle(cycles)
-
-    def run(self, max_cycles: int = 1_000_000) -> RunResult:
-        """Advance the machine in lookahead windows until every thread
-        stops (see the module docstring and :meth:`WindowEngine.run`)."""
-        return self._lockstep.run(max_cycles)
-
-    # -- persistence (repro.persist) -----------------------------------
-
-    def windows_state(self) -> dict:
-        """The window engine's machine-level state (per-chip mirror /
-        exported / pending state rides in each chip's image)."""
-        return {
-            "next_barrier": self._next_barrier,
-            "seq": list(self._seq),
-            "outbox": [list(box) for box in self._outbox],
-        }
-
-    def restore_windows_state(self, state: dict) -> None:
-        self._next_barrier = int(state["next_barrier"])
-        self._seq = [int(s) for s in state["seq"]]
-        self._outbox = [[list(m) for m in box] for box in state["outbox"]]
-
-    def capture_state(self) -> dict:
-        """The whole machine — every node, the mesh timing state and
-        the migration forwarding map — as one JSON-safe payload (see
-        :func:`repro.persist.image.capture_multicomputer`)."""
-        from repro.persist.image import capture_multicomputer
-
-        return capture_multicomputer(self)
-
-    def restore_state(self, state: dict) -> None:
-        from repro.persist.image import restore_multicomputer_state
-
-        restore_multicomputer_state(self, state)
 
 
 def value_pair(word: TaggedWord) -> list:

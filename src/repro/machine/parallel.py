@@ -115,11 +115,11 @@ class _Worker:
         """Restore the machine from a capture (built afresh on a
         worker's first load; restored in place after that, so span
         sinks survive) and take ownership of ``owned``."""
-        from repro.persist.image import (restore_multicomputer,
+        from repro.persist.image import (restore_machine,
                                          restore_multicomputer_state)
 
         if self.machine is None:
-            machine = restore_multicomputer(payload)
+            machine = restore_machine(payload).machine
             self.machine, self.chips, self.kernels = (
                 machine, machine.chips, machine.kernels)
         else:
@@ -798,7 +798,10 @@ class WindowEngine:
     def sync_back(self) -> None:
         """Make the engine's machine authoritative again: drain to a
         barrier and restore every node's true state into it, from the
-        workers.  A no-op in-process (the machine is the nodes)."""
+        workers.  A no-op in-process (the machine is the nodes).  The
+        images carry architectural state only, so the host tallies
+        (``HOST_COUNTERS``) stay in the workers: read them from
+        :meth:`counters_per_node`."""
         if not self._ex.remote:
             return
         from repro.persist.image import restore_node
@@ -831,7 +834,9 @@ class WindowEngine:
     def restore_state(self, state: dict) -> None:
         """Overwrite the machine with a captured image, and every
         worker with it."""
-        self.machine.restore_state(state)
+        from repro.persist.image import restore_multicomputer_state
+
+        restore_multicomputer_state(self.machine, state)
         self._reship()
 
     def rebalance(self, owned: list[list[int]] | None = None) -> None:

@@ -5,7 +5,8 @@ Three layers, bottom to top:
 * :mod:`repro.persist.snapshot` — the on-disk container (magic, header,
   CRC, compressed canonical JSON);
 * :mod:`repro.persist.state` / :mod:`repro.persist.image` — capturing
-  and rebuilding machines (one chip, a simulation, a multicomputer);
+  and rebuilding machines (a bare chip, a simulation, a mesh), always
+  as a :class:`~repro.sim.api.Simulation`;
 * :mod:`repro.persist.delta`, :mod:`repro.persist.migrate`,
   :mod:`repro.persist.replay` — what the base layers enable:
   O(dirty-pages) checkpoints, live cross-node process migration, and
@@ -20,11 +21,8 @@ from repro.persist.delta import (DeltaChainError, DeltaCheckpointer,
                                  chain_paths, load_chain)
 from repro.persist.image import (capture_multicomputer, capture_node,
                                  capture_simulation, load_machine,
-                                 load_multicomputer, load_simulation,
-                                 restore_multicomputer,
-                                 restore_multicomputer_state, restore_node,
-                                 restore_simulation, save_multicomputer,
-                                 save_simulation)
+                                 restore_machine, restore_multicomputer_state,
+                                 restore_node)
 from repro.persist.migrate import (MigrationError, MigrationReport,
                                    MigrationService)
 from repro.persist.replay import (dump_snapshot_bytes, read_crash_dump,
@@ -61,19 +59,14 @@ __all__ = [
     "encode_snapshot",
     "load_chain",
     "load_machine",
-    "load_multicomputer",
-    "load_simulation",
     "read_crash_dump",
     "read_header",
     "read_snapshot",
     "replay_crash",
     "restore_chip_state",
-    "restore_multicomputer",
+    "restore_machine",
     "restore_multicomputer_state",
     "restore_node",
-    "restore_simulation",
-    "save_multicomputer",
-    "save_simulation",
     "state_digest",
     "threads_by_tid",
     "write_crash_dump",

@@ -34,7 +34,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.persist.image import capture_simulation, restore_simulation
+from repro.persist.image import capture_simulation, restore_machine
 from repro.persist.replay import state_digest
 from repro.persist.snapshot import (SnapshotError, read_snapshot,
                                     write_snapshot)
@@ -188,4 +188,4 @@ def load_chain(directory: str | Path, upto: int | None = None,
             f"chain ends at delta {expected - 1}, requested {upto}")
     payload["node"]["chip"]["memory"] = [
         [index, value, tag] for index, (value, tag) in sorted(memory.items())]
-    return restore_simulation(payload, **overrides)
+    return restore_machine(payload, **overrides)

@@ -1,15 +1,20 @@
-"""Whole-machine images: save and load simulations and multicomputers.
+"""Whole-machine images: every image format, and the one way back.
 
 :mod:`repro.persist.state` knows how to freeze one node's pieces; this
 module assembles them into the payloads the container format
-(:mod:`repro.persist.snapshot`) carries, and rebuilds live machines
-from them:
+(:mod:`repro.persist.snapshot`) carries:
 
-* ``simulation`` — one :class:`~repro.sim.api.Simulation` (chip +
-  kernel + optional swap manager);
-* ``multicomputer`` — every node of a
-  :class:`~repro.machine.multicomputer.Multicomputer`, plus the mesh's
-  timing state and the migration forwarding map.
+* ``chip`` — a lone :class:`~repro.machine.chip.MAPChip` with no kernel
+  (the fuzzer's bare-chip scenarios and their crash dumps);
+* ``simulation`` — a one-node :class:`~repro.sim.api.Simulation` (chip
+  + kernel + optional swap manager);
+* ``multicomputer`` — every node of a mesh simulation, plus the mesh's
+  timing state, the window state and the migration forwarding map.
+
+:func:`restore_machine` rebuilds any of the three as a
+:class:`~repro.sim.api.Simulation` — the one front door — and
+:func:`load_machine` does the same from a file; ``Simulation.save`` and
+``Simulation.restore`` are the facade's spelling of the pair.
 
 Loading builds a *fresh* machine from the snapshot's recorded
 architectural configuration and restores state into it.  Keyword
@@ -32,13 +37,13 @@ from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.persist.snapshot import (SnapshotError, read_snapshot,
-                                    write_snapshot)
+from repro.persist.snapshot import SnapshotError, read_snapshot
 from repro.persist.state import (capture_chip, capture_kernel, capture_swap,
                                  restore_chip_state, restore_kernel_state,
                                  restore_swap_state)
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.machine.chip import MAPChip
     from repro.machine.multicomputer import Multicomputer
     from repro.runtime.kernel import Kernel
     from repro.sim.api import Simulation
@@ -66,36 +71,17 @@ def restore_node(kernel: "Kernel", state: dict) -> None:
         restore_swap_state(swap, state["swap"])
 
 
-# -- single-node simulations --------------------------------------------
+# -- image kinds ---------------------------------------------------------
+
+def capture_bare_chip(chip: "MAPChip") -> dict:
+    """A kernel-less chip (the fuzzer's bare-chip scenarios) as a
+    ``chip`` image."""
+    return {"kind": "chip", "chip": capture_chip(chip)}
+
 
 def capture_simulation(sim: "Simulation") -> dict:
     return {"kind": "simulation", "node": capture_node(sim.kernel)}
 
-
-def restore_simulation(payload: dict, **overrides) -> "Simulation":
-    from repro.machine.chip import ChipConfig
-    from repro.sim.api import Simulation
-
-    if payload.get("kind") != "simulation":
-        raise SnapshotError(
-            f"expected a simulation snapshot, got {payload.get('kind')!r}")
-    config = ChipConfig(**payload["node"]["chip"]["config"])
-    if overrides:
-        config = replace(config, **overrides)
-    sim = Simulation(config)
-    restore_node(sim.kernel, payload["node"])
-    return sim
-
-
-def save_simulation(sim: "Simulation", path: str | Path) -> Path:
-    return write_snapshot(capture_simulation(sim), path)
-
-
-def load_simulation(path: str | Path, **overrides) -> "Simulation":
-    return restore_simulation(read_snapshot(path), **overrides)
-
-
-# -- multicomputers -------------------------------------------------------
 
 def capture_multicomputer(machine: "Multicomputer") -> dict:
     return {
@@ -110,7 +96,9 @@ def capture_multicomputer(machine: "Multicomputer") -> dict:
         # the window engine's machine half: barrier position, per-node
         # sequence counters and any traffic still queued mid-window
         # (per-node mirror/exported/pending state rides in each chip)
-        "windows": machine.windows_state(),
+        "windows": {"next_barrier": machine._next_barrier,
+                    "seq": list(machine._seq),
+                    "outbox": [list(box) for box in machine._outbox]},
         "nodes": [capture_node(kernel) for kernel in machine.kernels],
     }
 
@@ -127,50 +115,48 @@ def restore_multicomputer_state(machine: "Multicomputer",
     machine._page_homes = {int(p): int(n) for p, n in state["page_homes"]}
     for kernel, node_state in zip(machine.kernels, state["nodes"]):
         restore_node(kernel, node_state)
-    machine.restore_windows_state(state["windows"])
+    windows = state["windows"]
+    machine._next_barrier = int(windows["next_barrier"])
+    machine._seq = [int(s) for s in windows["seq"]]
+    machine._outbox = [[list(m) for m in box] for box in windows["outbox"]]
 
 
-def restore_multicomputer(payload: dict, **overrides) -> "Multicomputer":
+# -- rebuilding a machine ---------------------------------------------------
+
+def restore_machine(payload: dict, **overrides) -> "Simulation":
+    """A fresh :class:`~repro.sim.api.Simulation` holding whatever the
+    image holds: a ``chip`` image restores into the chip of a one-node
+    simulation whose kernel is empty, a ``simulation`` image into a
+    one-node simulation, a ``multicomputer`` image into a mesh one."""
     from repro.machine.chip import ChipConfig
-    from repro.machine.multicomputer import Multicomputer
     from repro.machine.network import MeshShape
+    from repro.sim.api import Simulation
 
-    if payload.get("kind") != "multicomputer":
-        raise SnapshotError(
-            f"expected a multicomputer snapshot, got {payload.get('kind')!r}")
-    config = ChipConfig(**payload["nodes"][0]["chip"]["config"])
-    if overrides:
-        config = replace(config, **overrides)
-    shape = payload["shape"]
-    machine = Multicomputer(
-        shape=MeshShape(shape["x"], shape["y"], shape["z"]),
-        chip_config=config,
-        hop_cycles=payload["hop_cycles"],
-        interface_cycles=payload["interface_cycles"],
-        arena_order=payload["arena_order"],
-    )
-    restore_multicomputer_state(machine, payload)
-    return machine
+    def config(chip_state: dict) -> ChipConfig:
+        base = ChipConfig(**chip_state["config"])
+        return replace(base, **overrides) if overrides else base
 
-
-def save_multicomputer(machine: "Multicomputer", path: str | Path) -> Path:
-    return write_snapshot(capture_multicomputer(machine), path)
-
-
-def load_multicomputer(path: str | Path, **overrides) -> "Multicomputer":
-    return restore_multicomputer(read_snapshot(path), **overrides)
-
-
-# -- kind-dispatching conveniences ----------------------------------------
-
-def load_machine(path: str | Path, **overrides):
-    """Load whatever the file holds: a :class:`Simulation` for
-    ``simulation`` images, a :class:`Multicomputer` for
-    ``multicomputer`` ones."""
-    payload = read_snapshot(path)
     kind = payload.get("kind")
-    if kind == "simulation":
-        return restore_simulation(payload, **overrides)
-    if kind == "multicomputer":
-        return restore_multicomputer(payload, **overrides)
-    raise SnapshotError(f"cannot load a machine from a {kind!r} snapshot")
+    if kind == "chip":
+        sim = Simulation(config(payload["chip"]))
+        restore_chip_state(sim.chip, payload["chip"])
+    elif kind == "simulation":
+        sim = Simulation(config(payload["node"]["chip"]))
+        restore_node(sim.kernel, payload["node"])
+    elif kind == "multicomputer":
+        shape = payload["shape"]
+        sim = Simulation.mesh(
+            MeshShape(shape["x"], shape["y"], shape["z"]),
+            config(payload["nodes"][0]["chip"]),
+            hop_cycles=payload["hop_cycles"],
+            interface_cycles=payload["interface_cycles"],
+            arena_order=payload["arena_order"])
+        restore_multicomputer_state(sim.machine, payload)
+    else:
+        raise SnapshotError(f"cannot load a machine from a {kind!r} snapshot")
+    return sim
+
+
+def load_machine(path: str | Path, **overrides) -> "Simulation":
+    """:func:`restore_machine` over a snapshot file."""
+    return restore_machine(read_snapshot(path), **overrides)

@@ -14,7 +14,9 @@ in one JSON file:
 * when the failing axis produced one, the machine snapshot itself
   (base64 of the container bytes), restorable with
   ``repro restore`` / :func:`repro.persist.image.load_machine` for
-  post-mortem inspection.
+  post-mortem inspection — bare-chip images from the ``plain`` /
+  ``self_modify`` / ``enter_call`` scenarios included, which come
+  back as a one-node simulation with an empty kernel.
 
 ``tools/run_fuzz.py --crashes DIR`` writes one dump per failure; CI
 uploads the directory as an artifact on red runs.

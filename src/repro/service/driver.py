@@ -153,15 +153,13 @@ class ServiceLoadDriver:
                                else install_clients(sim))
         if len(self.client_entries) != sim.nodes:
             raise ValueError("need one client entry per node")
-        #: per-node request-latency histograms, wired into each chip's
-        #: counter file exactly once (restores re-wire fresh chips)
-        self._latency = []
+        # each chip's request-latency histogram, wired into its counter
+        # file exactly once (restores re-wire fresh chips)
         for chip in sim.chips:
             hist = chip.obs.add_histogram("request_latency")
             if not chip.counters.has_source("hist.request_latency"):
                 chip.counters.add_source("hist.request_latency",
                                          hist.as_counters)
-            self._latency.append(hist)
         self._capacity = (sim.config.clusters
                           * sim.config.threads_per_cluster)
         #: requests dispatched per tenant, for hot-tenant detection

@@ -145,17 +145,6 @@ class Simulation:
 
         return cls(config, shape=shape or MeshShape(), **kwargs)
 
-    @classmethod
-    def _from_multicomputer(cls, machine) -> "Simulation":
-        """Wrap an already-built multicomputer (the restore path)."""
-        sim = cls.__new__(cls)
-        sim.config = machine.chips[0].config
-        sim.machine = machine
-        sim.chips = machine.chips
-        sim.kernels = machine.kernels
-        sim._engine = WindowEngine(machine.kernels, machine)
-        return sim
-
     # -- the engine (repro.machine.parallel) --------------------------------
 
     @property
@@ -182,7 +171,11 @@ class Simulation:
     def sync_back(self) -> None:
         """Make the in-process machine authoritative again: on the
         sharded engine, drain to a window barrier and pull every node's
-        state back (no-op on the lockstep engine)."""
+        state back (no-op on the lockstep engine).  What comes back is
+        architectural state: the host tallies
+        (:data:`~repro.machine.counters.HOST_COUNTERS`) describe the
+        worker process that did the work, so read them from
+        :meth:`snapshot`, not through direct access."""
         self._engine.sync_back()
 
     def close(self) -> None:
@@ -375,7 +368,9 @@ class Simulation:
         return self.chip.counters
 
     def counters_of(self, node: int) -> PerfCounters:
-        """One node's performance-counter file."""
+        """One node's performance-counter file.  After a sharded
+        :meth:`sync_back` it reads architectural state only; the host
+        tallies of a sharded run live in :meth:`snapshot`."""
         self._guard_sharded("counters_of")
         return self.chips[self._check_node(node)].counters
 
@@ -509,29 +504,23 @@ class Simulation:
         sharded machine drains to its window barrier first; the image
         is engine-neutral, so a parallel-captured file restores into a
         lockstep simulation bit-identically (and vice versa)."""
-        if self.machine is not None:
-            from repro.persist.snapshot import write_snapshot
+        from repro.persist.snapshot import write_snapshot
 
-            return write_snapshot(self._engine.capture_state(), path)
-        from repro.persist.image import save_simulation
-
-        return save_simulation(self, path)
+        return write_snapshot(self.capture_state(), path)
 
     @classmethod
     def restore(cls, path, **overrides) -> "Simulation":
         """Rebuild a simulation from a :meth:`save` file — single-node
-        and mesh images both come back behind this same facade.
+        and mesh images, and the fuzzer's bare-chip crash dumps, all
+        come back behind this same facade
+        (:func:`repro.persist.image.load_machine`).
         Keyword overrides may flip the simulator speed knobs
         (``decode_cache``, ``data_fast_path``, ``superblock``);
         architectural overrides are rejected.  (Named ``restore``
         because ``load`` is the facade's program loader.)"""
-        from repro.machine.multicomputer import Multicomputer
         from repro.persist.image import load_machine
 
-        machine = load_machine(path, **overrides)
-        if isinstance(machine, Multicomputer):
-            return cls._from_multicomputer(machine)
-        return machine
+        return load_machine(path, **overrides)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         c = self.config

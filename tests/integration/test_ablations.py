@@ -44,3 +44,11 @@ class TestA4RestrictEmulation:
         costs = ablations.restrict_hardware_vs_gateway()
         assert costs.hardware_cycles <= 5
         assert costs.gateway_cycles > 5 * costs.hardware_cycles
+
+
+class TestA5Overcommit:
+    def test_overcommit_pages_instead_of_failing(self):
+        under, over = ablations.overcommit_sweep(ratios=(0.5, 2.0), frames=8)
+        assert under.evictions == 0
+        assert over.evictions > 0
+        assert over.cycles > under.cycles

@@ -17,6 +17,7 @@ from repro.experiments import (
     e11_captable,
     e12_sfi,
     e13_revocation_gc,
+    e15_multinode,
 )
 
 
@@ -165,6 +166,14 @@ class TestE9ContextSwitch:
             for row in qr.rows:
                 assert qr.relative(row.scheme) >= 0.99
 
+    def test_workload_sweep_smoke(self):
+        results = e9_context_switch.workload_sweep(processes=2,
+                                                   refs_per_process=300)
+        assert set(results) == set(e9_context_switch.WORKLOADS)
+        for qr in results.values():
+            row = next(r for r in qr.rows if r.scheme == "guarded-pointers")
+            assert row.metrics.switch_cycles == 0
+
 
 class TestE10Segmentation:
     def test_segmentation_always_slower(self):
@@ -193,6 +202,11 @@ class TestE11CapTable:
     def test_guarded_never_slower(self):
         for row in e11_captable.latency_vs_objects((4, 64), refs=1000):
             assert row.slowdown >= 1.0
+
+    def test_storage_comparison(self):
+        storage = e11_captable.storage_comparison()
+        assert set(storage) == {"guarded-pointer", "capability-table"}
+        assert "1 tag bit" in storage["guarded-pointer"]
 
 
 class TestE12SFI:
@@ -231,3 +245,19 @@ class TestE13RevocationGC:
         result = e13_revocation_gc.relocation_by_unmap()
         assert result["pages_unmapped"] == 16
         assert result["faults_on_first_use"] == 1
+
+
+class TestE15Multinode:
+    """Pinned by value: EXPERIMENTS.md's E15 tables are these numbers."""
+
+    def test_latency_vs_distance(self):
+        points = e15_multinode.latency_vs_distance()
+        assert [p.hops for p in points] == [0, 1, 2, 3]
+        assert [p.stall_cycles for p in points] == [30, 59, 69, 79]
+        assert [p.messages for p in points] == [0, 2, 2, 2]
+
+    def test_protection_stays_local(self):
+        locality = e15_multinode.protection_stays_local(attempts=8)
+        assert locality.denied_remote_stores == 8
+        assert locality.network_messages == 0
+        assert locality.remote_protection_state_bytes == 0

@@ -21,7 +21,6 @@ from pathlib import Path
 import pytest
 
 from repro.machine.chip import ChipConfig
-from repro.machine.multicomputer import Multicomputer
 from repro.machine.network import MeshShape
 from repro.obs import EVENT_NAMES, HISTOGRAM_NAMES, TraceSession
 from repro.persist import MigrationService
@@ -118,9 +117,9 @@ def sweep_snapshot_and_events():
 
     # mesh + migration (E15's multinode shape)
     page_bytes = 256
-    mc = Multicomputer(MeshShape(2, 1, 1), ChipConfig(page_bytes=page_bytes),
-                       arena_order=24)
-    process = ProcessManager(mc.kernels[0]).create("""
+    sim = Simulation.mesh(MeshShape(2, 1, 1), page_bytes=page_bytes,
+                          arena_order=24)
+    process = ProcessManager(sim.kernels[0]).create("""
     entry:
         movi r3, 60
     spin:
@@ -131,19 +130,19 @@ def sweep_snapshot_and_events():
         st r6, r1, 8
         halt
     """)
-    data = mc.kernels[0].allocate_segment(page_bytes, eager=True)
+    data = sim.kernels[0].allocate_segment(page_bytes, eager=True)
     process.segments.append(data)
     process.start(regs={1: data.word})
-    mc.run(max_cycles=50)
-    with TraceSession([chip.obs for chip in mc.chips]) as mesh_session:
-        remote = mc.allocate_on(1, 4096, eager=True)
-        mc.chips[0].access_memory(remote.segment_base, write=False,
-                                  now=mc.chips[0].now)
-        MigrationService(mc).migrate(process, destination=1)
-        mc.run()
+    sim.run(max_cycles=50)
+    with sim.trace() as mesh_session:
+        remote = sim.allocate(4096, node=1, eager=True)
+        sim.chips[0].access_memory(remote.segment_base, write=False,
+                                   now=sim.chips[0].now)
+        MigrationService(sim.machine).migrate(process, destination=1)
+        sim.run()
     events |= {e.name for e in mesh_session.events}
-    keys |= set(mc.counters_snapshot())
-    for chip in mc.chips:
+    keys |= set(sim.snapshot())
+    for chip in sim.chips:
         events |= {e.name for e in chip.obs.flight.events()}
 
     return keys, events

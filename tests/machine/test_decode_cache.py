@@ -9,9 +9,9 @@ from repro.core.pointer import GuardedPointer
 from repro.machine.assembler import assemble
 from repro.machine.chip import ChipConfig, MAPChip, RunReason
 from repro.machine.isa import Opcode
-from repro.machine.multicomputer import Multicomputer
 from repro.machine.network import MeshShape
 from repro.runtime.kernel import Kernel
+from repro.sim.api import Simulation
 
 from tests.machine.conftest import load
 
@@ -123,36 +123,35 @@ class TestInvalidation:
         assert second.address not in chip._decode_cache
 
     def test_remote_write_invalidates_every_node(self):
-        mc = Multicomputer(shape=MeshShape(2, 1, 1),
-                           chip_config=ChipConfig(memory_bytes=2 * 1024 * 1024),
-                           arena_order=24)
-        entry = mc.load_on(0, "movi r1, 1\nhalt")
-        chip0 = mc.chips[0]
+        sim = Simulation.mesh(MeshShape(2, 1, 1),
+                              memory_bytes=2 * 1024 * 1024, arena_order=24)
+        entry = sim.load("movi r1, 1\nhalt", node=0)
+        chip0 = sim.chips[0]
         assert chip0.fetch(entry).int_op.opcode is Opcode.MOVI
         assert entry.address in chip0._decode_cache
         # node 1 writes the code word through the mesh; node 0's
         # decoded copy must be gone once the window's traffic lands
         patch = assemble("addi r1, r1, 5").encode()[0]
-        mc.chips[1].access_memory(entry.address, write=True, now=0,
-                                  value=patch)
-        mc.advance_idle(mc.window)
+        sim.chips[1].access_memory(entry.address, write=True, now=0,
+                                   value=patch)
+        sim.advance_idle(sim.machine.window)
         assert entry.address not in chip0._decode_cache
         assert chip0.fetch(entry).int_op.opcode is Opcode.ADDI
 
     def test_unmap_on_any_node_flushes_all_nodes(self):
-        mc = Multicomputer(shape=MeshShape(2, 1, 1),
-                           chip_config=ChipConfig(memory_bytes=2 * 1024 * 1024),
-                           arena_order=24)
-        entry = mc.load_on(0, "movi r1, 1\nhalt")
-        mc.chips[0].fetch(entry)
-        assert mc.chips[0]._decode_cache
-        page = mc.chips[1].page_table.map(0x7000 // mc.chips[1].page_table.page_bytes)
-        mc.chips[1].page_table.unmap(page.virtual_page)
+        sim = Simulation.mesh(MeshShape(2, 1, 1),
+                              memory_bytes=2 * 1024 * 1024, arena_order=24)
+        entry = sim.load("movi r1, 1\nhalt", node=0)
+        sim.chips[0].fetch(entry)
+        assert sim.chips[0]._decode_cache
+        page = sim.chips[1].page_table.map(
+            0x7000 // sim.chips[1].page_table.page_bytes)
+        sim.chips[1].page_table.unmap(page.virtual_page)
         # node 1's own cache flushed at the unmap; node 0's copy goes
         # when the broadcast lands at the window barrier
-        assert not mc.chips[1]._decode_cache
-        mc.advance_idle(mc.window)
-        assert not mc.chips[0]._decode_cache
+        assert not sim.chips[1]._decode_cache
+        sim.advance_idle(sim.machine.window)
+        assert not sim.chips[0]._decode_cache
 
 
 class TestSelfModifyingProgram:

@@ -2,45 +2,40 @@
 
 import pytest
 
-from repro.machine.chip import ChipConfig
-from repro.machine.multicomputer import Multicomputer
 from repro.machine.network import MeshShape
-from repro.machine.thread import ThreadState
+from repro.sim.api import Simulation
 
 
 def machine(x=2, y=1, z=1):
-    return Multicomputer(
-        shape=MeshShape(x, y, z),
-        chip_config=ChipConfig(memory_bytes=2 * 1024 * 1024),
-        arena_order=22,
-    )
+    return Simulation.mesh(MeshShape(x, y, z), memory_bytes=2 * 1024 * 1024,
+                           arena_order=22)
 
 
 class TestInterfaceContention:
     def test_many_remote_loads_serialise_at_the_port(self):
-        mc = machine()
-        remote = mc.allocate_on(1, 4096, eager=True)
+        sim = machine()
+        remote = sim.allocate(4096, node=1, eager=True)
         # four threads on node 0 all loading from node 1
         threads = []
         for i in range(4):
-            entry = mc.load_on(0, """
+            entry = sim.load("""
                 ld r2, r1, 0
                 ld r3, r1, 8
                 halt
-            """)
-            threads.append(mc.spawn_on(0, entry, regs={1: remote.word},
-                                       cluster=0, stack_bytes=0))
-        result = mc.run(max_cycles=100_000)
+            """, node=0)
+            threads.append(sim.spawn(entry, node=0, regs={1: remote.word},
+                                     cluster=0, stack_bytes=0))
+        result = sim.run(max_cycles=100_000)
         assert result.reason == "halted"
-        assert mc.network.stats.port_wait_cycles > 0  # injections queued
+        assert sim.network.stats.port_wait_cycles > 0  # injections queued
         stalls = sorted(t.stats.stall_cycles for t in threads)
         assert stalls[-1] > stalls[0]  # later requesters waited longer
 
     def test_local_work_unaffected_by_remote_storm(self):
-        mc = machine()
-        remote = mc.allocate_on(1, 4096, eager=True)
-        local = mc.allocate_on(0, 4096, eager=True)
-        noisy = mc.load_on(0, """
+        sim = machine()
+        remote = sim.allocate(4096, node=1, eager=True)
+        local = sim.allocate(4096, node=0, eager=True)
+        noisy = sim.load("""
             movi r4, 20
         loop:
             beq r4, done
@@ -49,8 +44,8 @@ class TestInterfaceContention:
             br loop
         done:
             halt
-        """)
-        quiet = mc.load_on(0, """
+        """, node=0)
+        quiet = sim.load("""
             movi r4, 20
         loop:
             beq r4, done
@@ -59,11 +54,12 @@ class TestInterfaceContention:
             br loop
         done:
             halt
-        """)
-        mc.spawn_on(0, noisy, regs={1: remote.word}, cluster=0, stack_bytes=0)
-        t_local = mc.spawn_on(0, quiet, regs={1: local.word}, cluster=1,
-                              stack_bytes=0)
-        result = mc.run(max_cycles=200_000)
+        """, node=0)
+        sim.spawn(noisy, node=0, regs={1: remote.word}, cluster=0,
+                  stack_bytes=0)
+        t_local = sim.spawn(quiet, node=0, regs={1: local.word}, cluster=1,
+                            stack_bytes=0)
+        result = sim.run(max_cycles=200_000)
         assert result.reason == "halted"
         # the local thread's loads hit its own cache: tiny stall total
         assert t_local.stats.stall_cycles < 60
@@ -71,30 +67,31 @@ class TestInterfaceContention:
 
 class TestMixedTraffic:
     def test_all_pairs_exchange(self):
-        mc = machine(x=2, y=2)
-        mailboxes = [mc.allocate_on(n, 4096, eager=True) for n in range(4)]
+        sim = machine(x=2, y=2)
+        mailboxes = [sim.allocate(4096, node=n, eager=True) for n in range(4)]
         threads = []
         for n in range(4):
             target = (n + 1) % 4
-            entry = mc.load_on(n, f"""
+            entry = sim.load(f"""
                 movi r2, {100 + n}
                 st r2, r1, 0      ; write into my neighbour's mailbox
                 halt
-            """)
-            threads.append(mc.spawn_on(
-                n, entry, regs={1: mailboxes[target].word}, stack_bytes=0))
-        result = mc.run(max_cycles=100_000)
+            """, node=n)
+            threads.append(sim.spawn(
+                entry, node=n, regs={1: mailboxes[target].word},
+                stack_bytes=0))
+        result = sim.run(max_cycles=100_000)
         assert result.reason == "halted"
         for n in range(4):
             sender = (n - 1) % 4
-            paddr = mc.chips[n].page_table.walk(mailboxes[n].segment_base)
-            assert mc.chips[n].memory.load_word(paddr).value == 100 + sender
+            paddr = sim.chips[n].page_table.walk(mailboxes[n].segment_base)
+            assert sim.chips[n].memory.load_word(paddr).value == 100 + sender
 
     def test_hop_accounting_matches_topology(self):
-        mc = machine(x=4)
-        far = mc.allocate_on(3, 4096, eager=True)
-        entry = mc.load_on(0, "ld r2, r1, 0\nhalt")
-        mc.spawn_on(0, entry, regs={1: far.word}, stack_bytes=0)
-        mc.run(max_cycles=100_000)
-        assert mc.network.stats.messages == 2
-        assert mc.network.stats.mean_hops == 3.0
+        sim = machine(x=4)
+        far = sim.allocate(4096, node=3, eager=True)
+        entry = sim.load("ld r2, r1, 0\nhalt", node=0)
+        sim.spawn(entry, node=0, regs={1: far.word}, stack_bytes=0)
+        sim.run(max_cycles=100_000)
+        assert sim.network.stats.messages == 2
+        assert sim.network.stats.mean_hops == 3.0

@@ -113,3 +113,25 @@ def test_restore_reships_a_started_sharded_machine():
             sim.close()
     assert results[0][0] == results[0][1]
     assert results[1] == results[0]
+
+
+def test_direct_counters_after_a_sync_read_architectural_state():
+    """After a sharded sync, direct access reads every node's
+    architectural counters exactly as the merged view does; the host
+    tallies (``HOST_COUNTERS``) describe the workers, so only
+    ``snapshot()`` carries them."""
+    sim = mesh(workers=2)
+    data = sim.allocate(4096, node=1, eager=True)
+    sim.spawn(LOOP, node=0, regs={1: data.word})
+    try:
+        sim.run()
+        merged = architectural(sim.snapshot())
+        sim.sync_back()
+        for node in (0, 1):
+            prefix = f"node{node}."
+            direct = architectural(sim.counters_of(node).snapshot())
+            assert direct == {name[len(prefix):]: value
+                              for name, value in merged.items()
+                              if name.startswith(prefix)}
+    finally:
+        sim.close()

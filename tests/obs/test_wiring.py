@@ -10,7 +10,6 @@ import pytest
 from repro.core.word import TaggedWord
 from repro.machine.chip import ChipConfig, MAPChip, RunReason
 from repro.machine.isa import BUNDLE_BYTES
-from repro.machine.multicomputer import Multicomputer
 from repro.machine.network import MeshShape
 from repro.machine.thread import ThreadState
 from repro.obs import EVENT_NAMES, TraceSession
@@ -192,35 +191,33 @@ class TestSwap:
 
 class TestMesh:
     def test_remote_access_hops_and_latency(self):
-        mc = Multicomputer(MeshShape(2, 1, 1),
-                           ChipConfig(memory_bytes=1024 * 1024),
-                           arena_order=24)
-        remote = mc.allocate_on(1, 4096, eager=True)
-        with TraceSession([chip.obs for chip in mc.chips]) as session:
-            mc.chips[0].access_memory(remote.segment_base, write=False,
-                                      now=mc.chips[0].now)
+        sim = Simulation.mesh(MeshShape(2, 1, 1), memory_bytes=1024 * 1024,
+                              arena_order=24)
+        remote = sim.allocate(4096, node=1, eager=True)
+        with sim.trace() as session:
+            sim.chips[0].access_memory(remote.segment_base, write=False,
+                                       now=sim.chips[0].now)
             # the load travels at the window barrier; drain it while
             # the session is still recording
-            mc.advance_idle(mc.window)
+            sim.advance_idle(sim.machine.window)
         hops = [e for e in session.events if e.name == "router.hop"]
         assert len(hops) == 2  # request + reply
         assert {e.args["src"] for e in hops} == {0, 1}
-        assert mc.chips[0].obs.remote_latency.count == 1
-        assert mc.chips[0].obs.remote_latency.max > 0
+        assert sim.chips[0].obs.remote_latency.count == 1
+        assert sim.chips[0].obs.remote_latency.max > 0
 
     def test_per_node_hubs_have_distinct_node_ids(self):
-        mc = Multicomputer(MeshShape(2, 1, 1),
-                           ChipConfig(memory_bytes=1024 * 1024),
-                           arena_order=24)
-        assert [chip.obs.node for chip in mc.chips] == [0, 1]
+        sim = Simulation.mesh(MeshShape(2, 1, 1), memory_bytes=1024 * 1024,
+                              arena_order=24)
+        assert [chip.obs.node for chip in sim.chips] == [0, 1]
 
 
 class TestMigration:
     def test_begin_ship_resume(self):
         page = 256
-        mc = Multicomputer(MeshShape(2, 1, 1), ChipConfig(page_bytes=page),
-                           arena_order=24)
-        kernel = mc.kernels[0]
+        sim = Simulation.mesh(MeshShape(2, 1, 1), page_bytes=page,
+                              arena_order=24)
+        kernel = sim.kernels[0]
         process = ProcessManager(kernel).create("""
         entry:
             movi r3, 200
@@ -235,9 +232,10 @@ class TestMigration:
         data = kernel.allocate_segment(page, eager=True)
         process.segments.append(data)
         process.start(regs={1: data.word})
-        mc.run(max_cycles=50)
-        with TraceSession([chip.obs for chip in mc.chips]) as session:
-            report = MigrationService(mc).migrate(process, destination=1)
+        sim.run(max_cycles=50)
+        with sim.trace() as session:
+            report = MigrationService(sim.machine).migrate(process,
+                                                           destination=1)
         migrated = {e.name: e for e in session.events}
         assert {"migrate.begin", "migrate.ship", "migrate.resume"} <= \
             set(migrated)

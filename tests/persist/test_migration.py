@@ -11,15 +11,13 @@ and the refusals (sub-page segments, tid collisions, bad nodes).
 import pytest
 
 from repro.core.word import TaggedWord
-from repro.machine.chip import ChipConfig, RunReason
-from repro.machine.multicomputer import Multicomputer
+from repro.machine.chip import RunReason
 from repro.machine.network import MeshShape
 from repro.machine.thread import ThreadState
-from repro.persist import (MigrationError, MigrationService,
-                           capture_multicomputer, load_multicomputer,
-                           save_multicomputer, state_digest)
+from repro.persist import MigrationError, MigrationService, state_digest
 from repro.runtime.process import Process, ProcessManager
 from repro.runtime.swap import SwapManager
+from repro.sim.api import Simulation
 
 #: Small pages so a test segment is page-sized (sub-page segments
 #: refuse to migrate — the granularity mismatch of §4.3).
@@ -40,13 +38,12 @@ spin:
 
 
 def make_machine(nodes=2):
-    return Multicomputer(MeshShape(nodes, 1, 1),
-                         ChipConfig(page_bytes=PAGE),
-                         arena_order=24)
+    return Simulation.mesh(MeshShape(nodes, 1, 1), page_bytes=PAGE,
+                           arena_order=24)
 
 
-def make_process(mc, node=0, source=CLIENT, data_value=41):
-    kernel = mc.kernels[node]
+def make_process(sim, node=0, source=CLIENT, data_value=41):
+    kernel = sim.kernels[node]
     manager = ProcessManager(kernel)
     process = manager.create(source)
     data = kernel.allocate_segment(PAGE, eager=True)
@@ -59,53 +56,53 @@ def make_process(mc, node=0, source=CLIENT, data_value=41):
 
 class TestZeroFixups:
     def test_pointer_bits_survive_migration(self, tmp_path):
-        mc = make_machine()
-        process, thread, data = make_process(mc)
-        mc.run(max_cycles=50)
+        sim = make_machine()
+        process, thread, data = make_process(sim)
+        sim.run(max_cycles=50)
         before = thread.regs.read(1)
-        MigrationService(mc).migrate(process, destination=1)
+        MigrationService(sim.machine).migrate(process, destination=1)
         after = thread.regs.read(1)
         assert (before.value, before.tag) == (after.value, after.tag)
 
     def test_process_completes_on_the_new_node(self):
-        mc = make_machine()
-        process, thread, data = make_process(mc)
-        mc.run(max_cycles=50)
-        report = MigrationService(mc).migrate(process, destination=1)
-        result = mc.run()
+        sim = make_machine()
+        process, thread, data = make_process(sim)
+        sim.run(max_cycles=50)
+        report = MigrationService(sim.machine).migrate(process, destination=1)
+        result = sim.run()
         assert result.reason is RunReason.HALTED, thread.fault
-        assert thread.scheduler.chip is mc.chips[1]
+        assert thread.scheduler.chip is sim.chips[1]
         assert thread.regs.read(5).value == 41   # read through migrated ptr
         assert thread.regs.read(6).value == 42   # and wrote next to it
         assert report.threads_moved == 1
         assert report.pages_shipped >= 1
-        assert process.kernel is mc.kernels[1]
+        assert process.kernel is sim.kernels[1]
 
     def test_migrated_words_live_on_the_destination(self):
-        mc = make_machine()
-        process, thread, data = make_process(mc, data_value=77)
-        MigrationService(mc).migrate(process, destination=1)
+        sim = make_machine()
+        process, thread, data = make_process(sim, data_value=77)
+        MigrationService(sim.machine).migrate(process, destination=1)
         page = data.segment_base // PAGE
-        assert not mc.chips[0].page_table.is_mapped(page)
-        assert mc.chips[1].page_table.is_mapped(page)
-        physical = mc.chips[1].page_table.walk(data.segment_base)
-        assert mc.chips[1].memory.load_word(physical).value == 77
-        assert mc.home_of(data.segment_base) == 1
+        assert not sim.chips[0].page_table.is_mapped(page)
+        assert sim.chips[1].page_table.is_mapped(page)
+        physical = sim.chips[1].page_table.walk(data.segment_base)
+        assert sim.chips[1].memory.load_word(physical).value == 77
+        assert sim.machine.home_of(data.segment_base) == 1
 
     def test_segment_records_follow_the_process(self):
-        mc = make_machine()
-        process, thread, data = make_process(mc)
+        sim = make_machine()
+        process, thread, data = make_process(sim)
         base = data.segment_base
-        assert base in mc.kernels[0].segments
-        MigrationService(mc).migrate(process, destination=1)
-        assert base not in mc.kernels[0].segments
-        assert base in mc.kernels[1].segments
+        assert base in sim.kernels[0].segments
+        MigrationService(sim.machine).migrate(process, destination=1)
+        assert base not in sim.kernels[0].segments
+        assert base in sim.kernels[1].segments
 
     def test_migration_is_counted(self):
-        mc = make_machine()
-        process, thread, data = make_process(mc)
-        MigrationService(mc).migrate(process, destination=1)
-        counters = mc.chips[0].counters.snapshot()
+        sim = make_machine()
+        process, thread, data = make_process(sim)
+        MigrationService(sim.machine).migrate(process, destination=1)
+        counters = sim.chips[0].counters.snapshot()
         assert counters["migrate.processes"] == 1
         assert counters["migrate.threads"] == 1
         assert counters["migrate.pages"] >= 1
@@ -113,130 +110,130 @@ class TestZeroFixups:
 
 class TestWorkingSetDiscovery:
     def test_register_pointers_are_discovered(self):
-        mc = make_machine()
-        kernel = mc.kernels[0]
-        process, thread, data = make_process(mc)
+        sim = make_machine()
+        kernel = sim.kernels[0]
+        process, thread, data = make_process(sim)
         extra = kernel.allocate_segment(PAGE)
         thread.regs.write(9, extra.word)
-        bases = MigrationService(mc).reachable_segments(process)
+        bases = MigrationService(sim.machine).reachable_segments(process)
         assert extra.segment_base in bases
         assert data.segment_base in bases
         assert process.entry.segment_base in bases
 
     def test_untagged_words_are_not_pointers(self):
-        mc = make_machine()
-        process, thread, data = make_process(mc)
-        other = mc.kernels[0].allocate_segment(PAGE)
+        sim = make_machine()
+        process, thread, data = make_process(sim)
+        other = sim.kernels[0].allocate_segment(PAGE)
         # plant the *integer* bits of the pointer: no tag, no discovery
         thread.regs.write(9, TaggedWord(other.word.value, tag=False))
-        bases = MigrationService(mc).reachable_segments(process)
+        bases = MigrationService(sim.machine).reachable_segments(process)
         assert other.segment_base not in bases
 
 
 class TestPinning:
     def test_pinned_segment_stays_home(self):
-        mc = make_machine()
-        process, thread, data = make_process(mc)
-        mc.run(max_cycles=50)
-        report = MigrationService(mc).migrate(process, destination=1,
+        sim = make_machine()
+        process, thread, data = make_process(sim)
+        sim.run(max_cycles=50)
+        report = MigrationService(sim.machine).migrate(process, destination=1,
                                               pin=(data,))
-        assert data.segment_base in mc.kernels[0].segments
+        assert data.segment_base in sim.kernels[0].segments
         assert data.segment_base not in report.segments_moved
-        assert mc.home_of(data.segment_base) == 0
+        assert sim.machine.home_of(data.segment_base) == 0
         # the pinned segment still answers — remotely — and the client
         # finishes with the same result
-        result = mc.run()
+        result = sim.run()
         assert result.reason is RunReason.HALTED, thread.fault
         assert thread.regs.read(5).value == 41
 
 
 class TestBackingStore:
     def test_swapped_pages_move_store_to_store(self):
-        mc = make_machine()
-        src_swap = SwapManager(mc.kernels[0])
-        dst_swap = SwapManager(mc.kernels[1])
-        process, thread, data = make_process(mc)
+        sim = make_machine()
+        src_swap = SwapManager(sim.kernels[0])
+        dst_swap = SwapManager(sim.kernels[1])
+        process, thread, data = make_process(sim)
         page = data.segment_base // PAGE
         assert src_swap.swap_out(page)
-        report = MigrationService(mc).migrate(process, destination=1)
+        report = MigrationService(sim.machine).migrate(process, destination=1)
         assert report.swapped_shipped == 1
         assert page not in src_swap._store
         assert page in dst_swap._store
         # the page is still swapped out; the thread faults it in on the
         # destination node and reads the planted value
-        result = mc.run()
+        result = sim.run()
         assert result.reason is RunReason.HALTED, thread.fault
         assert thread.regs.read(5).value == 41
         assert dst_swap.stats.swap_ins == 1
 
     def test_swapped_pages_materialise_without_a_destination_store(self):
-        mc = make_machine()
-        src_swap = SwapManager(mc.kernels[0])
-        process, thread, data = make_process(mc)
+        sim = make_machine()
+        src_swap = SwapManager(sim.kernels[0])
+        process, thread, data = make_process(sim)
         page = data.segment_base // PAGE
         assert src_swap.swap_out(page)
-        MigrationService(mc).migrate(process, destination=1)
-        assert mc.chips[1].page_table.is_mapped(page)
-        result = mc.run()
+        MigrationService(sim.machine).migrate(process, destination=1)
+        assert sim.chips[1].page_table.is_mapped(page)
+        result = sim.run()
         assert result.reason is RunReason.HALTED, thread.fault
         assert thread.regs.read(5).value == 41
 
 
 class TestRefusals:
     def test_sub_page_segments_refuse_to_migrate(self):
-        mc = make_machine()
-        process, thread, data = make_process(mc)
-        small = mc.kernels[0].allocate_segment(PAGE // 4)
+        sim = make_machine()
+        process, thread, data = make_process(sim)
+        small = sim.kernels[0].allocate_segment(PAGE // 4)
         process.segments.append(small)
         with pytest.raises(MigrationError, match="smaller than a page"):
-            MigrationService(mc).migrate(process, destination=1)
+            MigrationService(sim.machine).migrate(process, destination=1)
 
     def test_same_node_is_refused(self):
-        mc = make_machine()
-        process, thread, data = make_process(mc)
+        sim = make_machine()
+        process, thread, data = make_process(sim)
         with pytest.raises(MigrationError, match="already on that node"):
-            MigrationService(mc).migrate(process, destination=0)
+            MigrationService(sim.machine).migrate(process, destination=0)
 
     def test_unknown_node_is_refused(self):
-        mc = make_machine()
-        process, thread, data = make_process(mc)
+        sim = make_machine()
+        process, thread, data = make_process(sim)
         with pytest.raises(MigrationError, match="no node"):
-            MigrationService(mc).migrate(process, destination=5)
+            MigrationService(sim.machine).migrate(process, destination=5)
 
     def test_tid_collision_is_refused_before_any_move(self):
-        mc = make_machine()
-        process, thread, data = make_process(mc)
-        mc.spawn_on(1, mc.load_on(1, "halt"))  # same tid on the target
+        sim = make_machine()
+        process, thread, data = make_process(sim)
+        sim.spawn(sim.load("halt", node=1), node=1)  # same tid on the target
         base = data.segment_base
         with pytest.raises(MigrationError, match="tid"):
-            MigrationService(mc).migrate(process, destination=1)
+            MigrationService(sim.machine).migrate(process, destination=1)
         # nothing moved: segments and mapping are untouched
-        assert base in mc.kernels[0].segments
-        assert mc.chips[0].page_table.is_mapped(base // PAGE)
+        assert base in sim.kernels[0].segments
+        assert sim.chips[0].page_table.is_mapped(base // PAGE)
 
     def test_threadless_process_is_pure_data_motion(self):
-        mc = make_machine()
-        kernel = mc.kernels[0]
+        sim = make_machine()
+        kernel = sim.kernels[0]
         data = kernel.allocate_segment(PAGE, eager=True)
         entry = kernel.load_program(CLIENT)
         process = Process(kernel=kernel, domain=9, entry=entry,
                           segments=[data])
-        report = MigrationService(mc).migrate(process, destination=1)
+        report = MigrationService(sim.machine).migrate(process, destination=1)
         assert report.threads_moved == 0
         assert report.pages_shipped >= 1
 
 
 class TestMigrationPersists:
     def test_forwarding_map_survives_a_snapshot(self, tmp_path):
-        mc = make_machine()
-        process, thread, data = make_process(mc)
-        mc.run(max_cycles=50)
-        MigrationService(mc).migrate(process, destination=1)
-        path = save_multicomputer(mc, tmp_path / "migrated.snap")
-        restored = load_multicomputer(path)
-        assert state_digest(capture_multicomputer(restored)) == \
-            state_digest(capture_multicomputer(mc))
-        assert restored.home_of(data.segment_base) == 1
+        sim = make_machine()
+        process, thread, data = make_process(sim)
+        sim.run(max_cycles=50)
+        MigrationService(sim.machine).migrate(process, destination=1)
+        path = sim.save(tmp_path / "migrated.snap")
+        restored = Simulation.restore(path)
+        assert state_digest(restored.capture_state()) == \
+            state_digest(sim.capture_state())
+        assert restored.machine.home_of(data.segment_base) == 1
         result = restored.run()
         assert result.reason is RunReason.HALTED
         migrated = [t for t in restored.chips[1].all_threads()

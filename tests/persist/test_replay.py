@@ -106,6 +106,41 @@ class TestReplay:
         assert any("replaying seed=12345" in line for line in lines)
 
 
+class TestBareChipDump:
+    """The replay axis round-trips ``plain``/``self_modify``/
+    ``enter_call`` cases as a bare ``chip`` image — the snapshot a crash
+    artifact carries — so ``repro restore`` must take one too."""
+
+    def test_plain_case_blob_restores_to_the_uninterrupted_digest(
+            self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.fuzz.differ import DATA_BASE
+        from repro.fuzz.generator import DATA_BYTES
+        from repro.fuzz.scenarios import (MAX_CYCLES, _digest_chip, _rebind,
+                                          run_scenario)
+        from repro.persist.state import threads_by_tid
+
+        case = healthy_case()
+        whole = run_scenario(case, decode_cache=True)
+        split = run_scenario(case, decode_cache=True, roundtrip=True)
+        path = tmp_path / "snapshot.snap"
+        path.write_bytes(split.pop("_snapshot"))
+        assert decode_snapshot(path.read_bytes())["kind"] == "chip"
+
+        assert main(["restore", str(path)]) in (0, 1)  # no traceback
+        assert "restored chip snapshot" in capsys.readouterr().out
+
+        sim = Simulation.restore(path)
+        (thread,) = threads_by_tid(sim.chip).values()
+        thread, monitor = _rebind(sim.chip, thread)
+        sim.run(MAX_CYCLES - sim.now)
+        resumed = _digest_chip(sim.chip, [thread], [(DATA_BASE, DATA_BYTES)],
+                               [monitor])
+        for digest in (whole, split, resumed):
+            digest.pop("_flight")
+        assert resumed == split == whole
+
+
 class TestFailureArtifacts:
     def test_layout(self, tmp_path):
         snapshot = machine_snapshot_bytes()

@@ -27,13 +27,9 @@ import pytest
 from repro.core.word import TaggedWord
 from repro.machine.chip import ChipConfig, RunReason
 from repro.machine.counters import PerfCounters
-from repro.machine.multicomputer import Multicomputer
 from repro.machine.network import MeshShape
 from repro.machine.thread import ThreadState
-from repro.persist import (SnapshotError, capture_multicomputer,
-                           capture_simulation, load_multicomputer,
-                           load_simulation, save_multicomputer,
-                           save_simulation, state_digest)
+from repro.persist import SnapshotError, capture_simulation, state_digest
 from repro.runtime.swap import SwapManager
 from repro.sim.api import Simulation
 
@@ -106,17 +102,17 @@ class TestDigestIdentity:
             state_digest(capture_simulation(sim))
 
     def test_multicomputer_roundtrip(self, tmp_path):
-        mc = Multicomputer(MeshShape(2, 1, 1), arena_order=24)
-        data = mc.allocate_on(1, 4096, eager=True)
-        entry = mc.load_on(0, PROGRAM)
-        mc.spawn_on(0, entry, regs={1: data.word})  # stores cross the mesh
+        sim = Simulation.mesh(MeshShape(2, 1, 1), arena_order=24)
+        data = sim.allocate(4096, node=1, eager=True)
+        entry = sim.load(PROGRAM, node=0)
+        sim.spawn(entry, node=0, regs={1: data.word})  # stores cross the mesh
         for _ in range(80):  # lockstep partial run
-            for chip in mc.chips:
+            for chip in sim.chips:
                 chip.step()
-        path = save_multicomputer(mc, tmp_path / "mesh.snap")
-        restored = load_multicomputer(path)
-        assert state_digest(capture_multicomputer(restored)) == \
-            state_digest(capture_multicomputer(mc))
+        path = sim.save(tmp_path / "mesh.snap")
+        restored = Simulation.restore(path)
+        assert state_digest(restored.capture_state()) == \
+            state_digest(sim.capture_state())
         # and the restored machine finishes
         result = restored.run()
         assert result.reason is RunReason.HALTED
@@ -125,7 +121,7 @@ class TestDigestIdentity:
         sim = running_sim()
         path = sim.save(tmp_path / "sim.snap")
         with pytest.raises(SnapshotError):
-            load_simulation(path, memory_bytes=16 * 1024 * 1024)
+            Simulation.restore(path, memory_bytes=16 * 1024 * 1024)
 
 
 def memos(sim: Simulation) -> list:
@@ -256,7 +252,7 @@ class TestDeterminism:
         path = sim.save(tmp_path / "image.snap")
         digests = set()
         for knobs in self.KNOBS:
-            run = load_simulation(path, **knobs)
+            run = Simulation.restore(path, **knobs)
             assert run.config.decode_cache == knobs["decode_cache"]
             assert run.config.data_fast_path == knobs["data_fast_path"]
             assert run.config.superblock == knobs["superblock"]
@@ -269,8 +265,8 @@ class TestDeterminism:
         sim = running_sim()
         sim.step(45)
         path = sim.save(tmp_path / "image.snap")
-        assert state_digest(capture_simulation(load_simulation(path))) == \
-            state_digest(capture_simulation(load_simulation(path)))
+        assert state_digest(capture_simulation(Simulation.restore(path))) == \
+            state_digest(capture_simulation(Simulation.restore(path)))
 
 
 class TestCounterJson:
